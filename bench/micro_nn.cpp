@@ -274,7 +274,9 @@ int run(int argc, char** argv) {
                [&] { return matmul(h1, w2); });
   }
   // The ORION encoder is the larger graph; its stacked affine is the single
-  // most expensive GEMM of a training epoch.
+  // most expensive GEMM of a training epoch, and its three backward products
+  // (weight gradient over all batch * n rows, input gradient through W^T,
+  // and the ReLU-gated adjacency backward) are most of a PPO update.
   {
     const ObservationEncoder encoder(orion_problem, fast_config.path_actions);
     const int n = orion_problem.num_nodes();
@@ -283,8 +285,29 @@ int run(int argc, char** argv) {
     Rng rng(29);
     const Matrix stacked = random_matrix(batch * n, f, rng);
     const Matrix w = random_matrix(f, e, rng);
-    bench_gemm("orion_gcn_affine", batch * n, f, e, reps, true,
+    const Matrix w2 = random_matrix(e, e, rng);
+    const Matrix grad = random_matrix(batch * n, e, rng);
+    const Matrix relu_out = random_matrix(batch * n, e, rng);
+    // Adjacency-like blocks: a self-loop plus ~10% off-diagonal entries.
+    std::vector<Matrix> blocks;
+    for (int g = 0; g < batch; ++g) {
+      Matrix a(n, n);
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+          if (i == j || rng.uniform() < 0.1) a.at(i, j) = rng.uniform(0.05, 0.5);
+        }
+      }
+      blocks.push_back(std::move(a));
+    }
+    const BlockAdjacency adj(std::move(blocks));
+    bench_gemm("orion_gcn_affine", batch * n, f, e, reps, false,
                [&] { return matmul(stacked, w); });
+    bench_gemm("orion_grad_dw", f, batch * n, e, reps, false,
+               [&] { return matmul_transposed_a(stacked, grad); });
+    bench_gemm("orion_grad_dx", batch * n, e, e, reps, false,
+               [&] { return matmul_transposed(grad, w2); });
+    bench_gemm("orion_gcn_backprop", batch * n, n, e, reps, true,
+               [&] { return block_diag_matmul_tn(adj, grad, &relu_out); });
   }
 
   std::printf("  ],\n  \"scenarios\": [\n");

@@ -1,5 +1,7 @@
 #include "core/planner.hpp"
 
+#include <optional>
+
 #include "analysis/auditor.hpp"
 #include "analysis/engine_cache.hpp"
 #include "rl/warm_start.hpp"
@@ -77,18 +79,29 @@ PlanningResult plan(const PlanningProblem& problem, const StatelessNbf& nbf,
       config.use_verification_engine ? make_engine_staging(problem) : nullptr;
 
   Rng env_seeder(rng.next_u64());
-  Trainer trainer(
-      net,
-      [&] {
-        return std::make_unique<PlanningEnv>(problem, nbf, config, recorder,
-                                             env_seeder.split(), staging);
-      },
-      trainer_config);
+  // The trainer builds its environments up front, and building one already
+  // runs the deadline-polling verification stack. A deadline that fires
+  // there stops the session before its first epoch: report it like any
+  // other budget stop instead of letting DeadlineExceeded escape plan().
+  std::optional<Trainer> trainer;
+  try {
+    trainer.emplace(
+        net,
+        [&] {
+          return std::make_unique<PlanningEnv>(problem, nbf, config, recorder,
+                                               env_seeder.split(), staging);
+        },
+        trainer_config);
+  } catch (const DeadlineExceeded& e) {
+    PlanningResult stopped;
+    stopped.stopped_reason = e.reason() + " before training started";
+    return stopped;
+  }
 
   // Persist the best-verified-solution-so-far alongside the training state,
   // so a resumed run never loses (or re-reports worse than) what an earlier
   // process already verified.
-  trainer.set_extra_checkpoint_section(
+  trainer->set_extra_checkpoint_section(
       [&recorder](ByteWriter& out) {
         out.i64(recorder.solutions_found());
         const auto best = recorder.best();
@@ -103,17 +116,17 @@ PlanningResult plan(const PlanningProblem& problem, const StatelessNbf& nbf,
       });
 
   PlanningResult result;
-  result.history = trainer.train(on_epoch);
+  result.history = trainer->train(on_epoch);
   result.feasible = recorder.has_solution();
   result.best = recorder.best();
   result.best_cost = recorder.best_cost();
   result.solutions_found = recorder.solutions_found();
-  result.stopped_reason = trainer.stopped_reason();
-  result.epochs_completed = trainer.next_epoch();
-  result.anomalies = trainer.ledger().entries();
-  result.anomalies_total = trainer.ledger().total();
-  result.rollbacks = trainer.total_rollbacks();
-  result.quarantined_worker_epochs = trainer.total_quarantined();
+  result.stopped_reason = trainer->stopped_reason();
+  result.epochs_completed = trainer->next_epoch();
+  result.anomalies = trainer->ledger().entries();
+  result.anomalies_total = trainer->ledger().total();
+  result.rollbacks = trainer->total_rollbacks();
+  result.quarantined_worker_epochs = trainer->total_quarantined();
 
   // Offer the trained weights to the warm-start store (kept only when they
   // beat the best same-architecture entry). Publishing is unconditional on

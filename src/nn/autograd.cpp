@@ -112,10 +112,29 @@ void Tensor::backward() const {
 namespace {
 
 // Adds `delta` into the parent's gradient when the parent participates in
-// training (constants skip the work).
+// training (constants skip the work). A parent whose gradient is still
+// unallocated takes the delta's storage as 0.0 + delta: bitwise what
+// zero-filling a fresh gradient and accumulating into it gives (-0.0 turns
+// into +0.0 either way), minus the full-size zero-fill pass.
+void add_grad(Node& parent, Matrix&& delta) {
+  if (!parent.requires_grad) return;
+  if (!parent.grad.empty() || parent.value.empty()) {
+    accumulate(parent.ensure_grad(), delta);
+    return;
+  }
+  NPTSN_EXPECT(delta.same_shape(parent.value), "accumulate shape mismatch");
+  double* d = delta.data();
+  for (int i = 0; i < delta.size(); ++i) d[i] = 0.0 + d[i];
+  parent.grad = std::move(delta);
+}
+
 void add_grad(Node& parent, const Matrix& delta) {
   if (!parent.requires_grad) return;
-  accumulate(parent.ensure_grad(), delta);
+  if (!parent.grad.empty() || parent.value.empty()) {
+    accumulate(parent.ensure_grad(), delta);
+    return;
+  }
+  add_grad(parent, Matrix(delta));
 }
 
 Node& parent(Node& self, std::size_t i) { return *self.parents[i]; }
@@ -185,7 +204,7 @@ Tensor relu(const Tensor& a) {
     for (int i = 0; i < delta.size(); ++i) {
       if (self.value.data()[i] <= 0.0) delta.data()[i] = 0.0;
     }
-    add_grad(parent(self, 0), delta);
+    add_grad(parent(self, 0), std::move(delta));
   });
 }
 
@@ -198,7 +217,7 @@ Tensor tanh_op(const Tensor& a) {
       const double y = self.value.data()[i];
       delta.data()[i] *= (1.0 - y * y);
     }
-    add_grad(parent(self, 0), delta);
+    add_grad(parent(self, 0), std::move(delta));
   });
 }
 
@@ -226,7 +245,7 @@ Tensor mean_rows(const Tensor& a) {
     for (int i = 0; i < delta.rows(); ++i) {
       for (int j = 0; j < delta.cols(); ++j) delta.at(i, j) = self.grad.at(0, j) * inv;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -257,14 +276,14 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
       for (int i = 0; i < da.rows(); ++i) {
         for (int j = 0; j < split; ++j) da.at(i, j) = self.grad.at(i, j);
       }
-      add_grad(pa, da);
+      add_grad(pa, std::move(da));
     }
     if (pb.requires_grad) {
       Matrix db(self.grad.rows(), self.grad.cols() - split);
       for (int i = 0; i < db.rows(); ++i) {
         for (int j = 0; j < db.cols(); ++j) db.at(i, j) = self.grad.at(i, split + j);
       }
-      add_grad(pb, db);
+      add_grad(pb, std::move(db));
     }
   });
 }
@@ -276,7 +295,7 @@ Tensor select(const Tensor& a, int r, int c) {
     if (!pa.requires_grad) return;
     Matrix delta(pa.value.rows(), pa.value.cols());
     delta.at(r, c) = self.grad.at(0, 0);
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -292,7 +311,7 @@ Tensor clamp(const Tensor& a, double lo, double hi) {
       const double x = pa.value.data()[i];
       if (x < lo || x > hi) delta.data()[i] = 0.0;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -312,8 +331,8 @@ Tensor min2(const Tensor& a, const Tensor& b) {
         db.data()[i] = self.grad.data()[i];
       }
     }
-    if (pa.requires_grad) add_grad(pa, da);
-    if (pb.requires_grad) add_grad(pb, db);
+    if (pa.requires_grad) add_grad(pa, std::move(da));
+    if (pb.requires_grad) add_grad(pb, std::move(db));
   });
 }
 
@@ -373,7 +392,7 @@ Tensor masked_log_softmax_row(const Tensor& logits, const std::vector<std::uint8
       const double p_i = std::exp(self.value.at(0, i));
       delta.at(0, i) = self.grad.at(0, i) - p_i * grad_sum;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -404,12 +423,18 @@ Matrix epilogue_delta(const Matrix& grad, const Matrix& out, Epilogue act) {
   return delta;
 }
 
-// Column sums of grad accumulated directly into a 1 x C parent gradient.
+// Column sums of grad accumulated directly into a 1 x C parent gradient,
+// ascending rows per column (raw pointers: .at() bounds checks stay on in
+// release builds and this walks a full-size delta).
 void add_grad_col_sums(Node& parent_node, const Matrix& grad) {
   if (!parent_node.requires_grad) return;
   Matrix& g = parent_node.ensure_grad();
+  NPTSN_EXPECT(g.rows() == 1 && g.cols() == grad.cols(), "bias gradient shape mismatch");
+  const int cols = grad.cols();
+  double* pg = g.data();
   for (int i = 0; i < grad.rows(); ++i) {
-    for (int j = 0; j < grad.cols(); ++j) g.at(0, j) += grad.at(i, j);
+    const double* row = grad.data() + static_cast<std::size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) pg[j] += row[j];
   }
 }
 
@@ -449,8 +474,7 @@ Tensor block_matmul_relu(std::shared_ptr<const BlockAdjacency> a_hats,
   return Tensor::make_op(std::move(out), {h}, [a_hats](Node& self) {
     Node& ph = parent(self, 0);
     if (!ph.requires_grad) return;
-    const Matrix delta = epilogue_delta(self.grad, self.value, Epilogue::kRelu);
-    add_grad(ph, block_diag_matmul_tn(*a_hats, delta));
+    add_grad(ph, block_diag_matmul_tn(*a_hats, self.grad, &self.value));
   });
 }
 
@@ -463,9 +487,10 @@ Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
     Node& pw = parent(self, 1);
     Node& pb = parent(self, 2);
     // Same chain the unfused affine + propagation pair walks: relu mask,
-    // back through the adjacency blocks, then the affine gradients.
-    const Matrix delta_out = epilogue_delta(self.grad, self.value, Epilogue::kRelu);
-    const Matrix delta_z = block_diag_matmul_tn(*a_hats, delta_out);
+    // back through the adjacency blocks, then the affine gradients. The mask
+    // is fused into the adjacency backward, so no gated full-size copy of
+    // the incoming gradient exists.
+    const Matrix delta_z = block_diag_matmul_tn(*a_hats, self.grad, &self.value);
     if (ph.requires_grad) add_grad(ph, matmul_transposed(delta_z, pw.value));
     if (pw.requires_grad) add_grad(pw, matmul_transposed_a(ph.value, delta_z));
     add_grad_col_sums(pb, delta_z);
@@ -496,14 +521,14 @@ Tensor mean_rows_blocks(const Tensor& a, int block_rows) {
     Node& pa = parent(self, 0);
     if (!pa.requires_grad) return;
     const int cols = pa.value.cols();
-    Matrix delta(pa.value.rows(), pa.value.cols());
+    Matrix delta = Matrix::uninitialized(pa.value.rows(), cols);
     for (int i = 0; i < delta.rows(); ++i) {
       const double* grow =
           self.grad.data() + static_cast<std::size_t>(i / block_rows) * cols;
       double* drow = delta.data() + static_cast<std::size_t>(i) * cols;
       for (int j = 0; j < cols; ++j) drow[j] = grow[j] * inv;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -555,7 +580,7 @@ Tensor leaky_relu(const Tensor& a, double negative_slope) {
     for (int i = 0; i < delta.size(); ++i) {
       if (pa.value.data()[i] < 0.0) delta.data()[i] *= negative_slope;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -598,7 +623,7 @@ Tensor masked_softmax_rows(const Tensor& scores, const Matrix& mask) {
         delta.at(r, i) = self.value.at(r, i) * (self.grad.at(r, i) - dot);
       }
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 

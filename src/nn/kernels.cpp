@@ -19,9 +19,6 @@ namespace {
 // enough that the 4 x 32 block (1 KiB) lives on the stack.
 constexpr int kMr = 4;
 constexpr int kNr = 32;
-// Dot-product micro-tile for the A * B^T kernel: 4 x 8 independent scalar
-// accumulator chains saturate the FMA ports without reassociating any sum.
-constexpr int kNrDot = 8;
 // Parallel-path task granularity: output rows per task, fixed so the work
 // partition (and therefore every result bit) is thread-count independent.
 constexpr int kRowsPerTask = 32;
@@ -332,51 +329,28 @@ void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
   }
 }
 
-// Rows [i_begin, i_end) of out = a * b^T (b row-major N x K).
-void matmul_nt_rows(const Matrix& a, const Matrix& b, Matrix& out, int i_begin,
-                    int i_end) {
-  const int cols_k = a.cols();
-  const int rows_n = b.rows();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* po = out.data();
-  for (int i0 = i_begin; i0 < i_end; i0 += kMr) {
-    const int mi = std::min(kMr, i_end - i0);
-    for (int j0 = 0; j0 < rows_n; j0 += kNrDot) {
-      const int nj = std::min(kNrDot, rows_n - j0);
-      double acc[kMr][kNrDot];
-      for (int r = 0; r < mi; ++r) {
-        for (int j = 0; j < nj; ++j) acc[r][j] = 0.0;
-      }
-      for (int k = 0; k < cols_k; ++k) {
-        double avals[kMr];
-        double bvals[kNrDot];
-        for (int r = 0; r < mi; ++r) {
-          avals[r] = pa[static_cast<std::size_t>(i0 + r) * cols_k + k];
-        }
-        for (int j = 0; j < nj; ++j) {
-          bvals[j] = pb[static_cast<std::size_t>(j0 + j) * cols_k + k];
-        }
-        for (int r = 0; r < mi; ++r) {
-          for (int j = 0; j < nj; ++j) acc[r][j] = fmadd(avals[r], bvals[j], acc[r][j]);
-        }
-      }
-      for (int r = 0; r < mi; ++r) {
-        double* orow = po + static_cast<std::size_t>(i0 + r) * rows_n + j0;
-        for (int j = 0; j < nj; ++j) orow[j] = acc[r][j];
-      }
-    }
-  }
-}
+// Rows of a and b one pass of the a^T * b kernel walks before moving to the
+// next output tile: a 256-row panel of both operands (~370 KB at the ORION
+// weight-gradient shape, 86 + 92 columns) stays in L2 while every output
+// tile of the row range sweeps it, instead of every tile streaming all K
+// rows from memory. Pure performance knob (see matmul_tn_rows).
+constexpr int kPanelK = 256;
 
-// Full-tile micro-kernel for out = a^T * b; same registerization and
-// bit-preservation argument as affine_microkernel.
+// Full-tile micro-kernel for out = a^T * b over the k panel [k_begin,
+// k_end); same registerization and bit-preservation argument as
+// affine_microkernel. `resume` continues the chain of an earlier panel: the
+// accumulators start from the partial sums stored in out, and a stored
+// double reloads exactly, so the panelled chain is the unpanelled one.
 template <int MR>
-void tn_microkernel(const double* pa, const double* pb, int rows_k, int cols_m,
-                    int cols_n, int i0, int j0, double* po) {
+void tn_microkernel(const double* pa, const double* pb, int k_begin, int k_end,
+                    int cols_m, int cols_n, int i0, int j0, bool resume, double* po) {
   vnd acc[MR][2];
-  for (int r = 0; r < MR; ++r) acc[r][0] = acc[r][1] = broadcastv(0.0);
-  for (int k = 0; k < rows_k; ++k) {
+  for (int r = 0; r < MR; ++r) {
+    const double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
+    acc[r][0] = resume ? loadv(orow) : broadcastv(0.0);
+    acc[r][1] = resume ? loadv(orow + kLanes) : broadcastv(0.0);
+  }
+  for (int k = k_begin; k < k_end; ++k) {
     const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
     const double* brow = pb + static_cast<std::size_t>(k) * cols_n + j0;
     const vnd b0 = loadv(brow);
@@ -396,11 +370,15 @@ void tn_microkernel(const double* pa, const double* pb, int rows_k, int cols_m,
 
 // Single-vector-wide column-remainder variant (see affine_microkernel_v1).
 template <int MR>
-void tn_microkernel_v1(const double* pa, const double* pb, int rows_k, int cols_m,
-                       int cols_n, int i0, int j0, double* po) {
+void tn_microkernel_v1(const double* pa, const double* pb, int k_begin, int k_end,
+                       int cols_m, int cols_n, int i0, int j0, bool resume,
+                       double* po) {
   vnd acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = broadcastv(0.0);
-  for (int k = 0; k < rows_k; ++k) {
+  for (int r = 0; r < MR; ++r) {
+    acc[r] = resume ? loadv(po + static_cast<std::size_t>(i0 + r) * cols_n + j0)
+                    : broadcastv(0.0);
+  }
+  for (int k = k_begin; k < k_end; ++k) {
     const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
     const vnd b0 = loadv(pb + static_cast<std::size_t>(k) * cols_n + j0);
     for (int r = 0; r < MR; ++r) {
@@ -412,60 +390,88 @@ void tn_microkernel_v1(const double* pa, const double* pb, int rows_k, int cols_
   }
 }
 
-// Rows [i_begin, i_end) of out = a^T * b (a row-major K x M; out M x N).
-// Raw-pointer interface for the same reason as affine_rows.
-void matmul_tn_rows(const double* pa, int rows_k, int cols_m, const double* pb,
-                    int cols_n, double* po, int i_begin, int i_end) {
+// One kNrReg-wide (wide) or kLanes-wide column tile at j0 of an MR-row
+// block, over one k panel.
+template <int MR>
+void tn_tile(const double* pa, const double* pb, int k_begin, int k_end, int cols_m,
+             int cols_n, int i0, int j0, bool wide, bool resume, double* po) {
+  if (wide) {
+    tn_microkernel<MR>(pa, pb, k_begin, k_end, cols_m, cols_n, i0, j0, resume, po);
+  } else {
+    tn_microkernel_v1<MR>(pa, pb, k_begin, k_end, cols_m, cols_n, i0, j0, resume, po);
+  }
+}
+
+// That column tile for every row block of [i_begin, i_end).
+void tn_tile_rows(const double* pa, const double* pb, int k_begin, int k_end,
+                  int cols_m, int cols_n, int j0, bool wide, bool resume, double* po,
+                  int i_begin, int i_end) {
   for (int i0 = i_begin; i0 < i_end; i0 += kMr) {
-    const int mi = std::min(kMr, i_end - i0);
-    int j0_reg = 0;
-    switch (mi) {
+    switch (std::min(kMr, i_end - i0)) {
       case 4:
-        for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg)
-          tn_microkernel<4>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes)
-          tn_microkernel_v1<4>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
+        tn_tile<4>(pa, pb, k_begin, k_end, cols_m, cols_n, i0, j0, wide, resume, po);
         break;
       case 3:
-        for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg)
-          tn_microkernel<3>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes)
-          tn_microkernel_v1<3>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
+        tn_tile<3>(pa, pb, k_begin, k_end, cols_m, cols_n, i0, j0, wide, resume, po);
         break;
       case 2:
-        for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg)
-          tn_microkernel<2>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes)
-          tn_microkernel_v1<2>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
+        tn_tile<2>(pa, pb, k_begin, k_end, cols_m, cols_n, i0, j0, wide, resume, po);
         break;
       case 1:
-        for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg)
-          tn_microkernel<1>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes)
-          tn_microkernel_v1<1>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
+        tn_tile<1>(pa, pb, k_begin, k_end, cols_m, cols_n, i0, j0, wide, resume, po);
         break;
       default:
         break;
     }
-    for (int j0 = j0_reg; j0 < cols_n; j0 += kNr) {
-      const int nj = std::min(kNr, cols_n - j0);
-      double acc[kMr][kNr];
-      for (int r = 0; r < mi; ++r) {
-        for (int j = 0; j < nj; ++j) acc[r][j] = 0.0;
-      }
-      for (int k = 0; k < rows_k; ++k) {
-        const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
-        const double* brow = pb + static_cast<std::size_t>(k) * cols_n + j0;
+  }
+}
+
+// Rows [i_begin, i_end) of out = a^T * b (a row-major K x M; out M x N).
+// Raw-pointer interface for the same reason as affine_rows. K is walked in
+// kPanelK-row panels, each panel resuming every output element's chain where
+// the previous one stored it, so per element the reduction is still one
+// accumulator over ascending k — bit-identical to a single pass over K. At
+// least one panel always runs, so K == 0 still writes zeros. Within a panel
+// the column tile is the outer loop: its slice of b stays in L1 while every
+// row block of the range streams past it.
+void matmul_tn_rows(const double* pa, int rows_k, int cols_m, const double* pb,
+                    int cols_n, double* po, int i_begin, int i_end) {
+  for (int k_begin = 0; k_begin == 0 || k_begin < rows_k; k_begin += kPanelK) {
+    const int k_end = std::min(rows_k, k_begin + kPanelK);
+    const bool resume = k_begin > 0;
+    int j0_reg = 0;
+    for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg) {
+      tn_tile_rows(pa, pb, k_begin, k_end, cols_m, cols_n, j0_reg, true, resume, po,
+                   i_begin, i_end);
+    }
+    for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes) {
+      tn_tile_rows(pa, pb, k_begin, k_end, cols_m, cols_n, j0_reg, false, resume, po,
+                   i_begin, i_end);
+    }
+    // Sub-vector column remainder: general bounds.
+    for (int i0 = i_begin; i0 < i_end; i0 += kMr) {
+      const int mi = std::min(kMr, i_end - i0);
+      for (int j0 = j0_reg; j0 < cols_n; j0 += kNr) {
+        const int nj = std::min(kNr, cols_n - j0);
+        double acc[kMr][kNr];
         for (int r = 0; r < mi; ++r) {
-          const double ark = arow[r];
-          if (ark == 0.0) continue;  // zero-skip; bit-preserving (see affine_rows)
-          double* accr = acc[r];
-          for (int j = 0; j < nj; ++j) accr[j] = fmadd(ark, brow[j], accr[j]);
+          const double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
+          for (int j = 0; j < nj; ++j) acc[r][j] = resume ? orow[j] : 0.0;
         }
-      }
-      for (int r = 0; r < mi; ++r) {
-        double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
-        for (int j = 0; j < nj; ++j) orow[j] = acc[r][j];
+        for (int k = k_begin; k < k_end; ++k) {
+          const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
+          const double* brow = pb + static_cast<std::size_t>(k) * cols_n + j0;
+          for (int r = 0; r < mi; ++r) {
+            const double ark = arow[r];
+            if (ark == 0.0) continue;  // zero-skip; bit-preserving (see affine_rows)
+            double* accr = acc[r];
+            for (int j = 0; j < nj; ++j) accr[j] = fmadd(ark, brow[j], accr[j]);
+          }
+        }
+        for (int r = 0; r < mi; ++r) {
+          double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
+          for (int j = 0; j < nj; ++j) orow[j] = acc[r][j];
+        }
       }
     }
   }
@@ -568,10 +574,24 @@ void matmul_fast(const Matrix& a, const Matrix& b, Matrix& out) {
   });
 }
 
+// a * b^T as a * (packed b^T) through the affine register micro-kernels,
+// no bias or epilogue. b is transposed once per call (a weight matrix, tiny
+// next to a), after which every output element is the same single fmadd
+// chain over ascending k the dedicated dot-product loop computed, so the
+// tiled, sparse and edge paths of affine_rows all give its bits.
 void matmul_nt_fast(const Matrix& a, const Matrix& b, Matrix& out) {
-  out = Matrix::uninitialized(a.rows(), b.rows());
-  run_rows(a.rows(), a.rows(), b.rows(), a.cols(), [&](int begin, int end) {
-    matmul_nt_rows(a, b, out, begin, end);
+  const int cols_k = a.cols();
+  const int rows_n = b.rows();
+  Matrix bt = Matrix::uninitialized(cols_k, rows_n);
+  for (int j = 0; j < rows_n; ++j) {
+    const double* brow = b.data() + static_cast<std::size_t>(j) * cols_k;
+    double* col = bt.data() + j;
+    for (int k = 0; k < cols_k; ++k) col[static_cast<std::size_t>(k) * rows_n] = brow[k];
+  }
+  out = Matrix::uninitialized(a.rows(), rows_n);
+  run_rows(a.rows(), a.rows(), rows_n, cols_k, [&](int begin, int end) {
+    affine_rows(a.data(), cols_k, bt.data(), rows_n, nullptr, Epilogue::kNone,
+                out.data(), begin, end);
   });
 }
 
@@ -682,14 +702,22 @@ void block_affine_fast(const BlockAdjacency& adj, const Matrix& h,
 }
 
 void block_matmul_tn_reference(const BlockAdjacency& adj, const Matrix& delta,
-                               Matrix& out) {
+                               const Matrix* relu_out, Matrix& out) {
   const std::vector<Matrix>& blocks = adj.blocks();
   const int n = blocks.front().rows();
   const int cols_n = delta.cols();
+  Matrix gated;
+  if (relu_out) {
+    gated = delta;
+    for (int i = 0; i < gated.size(); ++i) {
+      if (relu_out->data()[i] <= 0.0) gated.data()[i] = 0.0;
+    }
+  }
+  const Matrix& d = relu_out ? gated : delta;
   out = Matrix(delta.rows(), cols_n);
   for (std::size_t g = 0; g < blocks.size(); ++g) {
     const double* pa = blocks[g].data();
-    const double* pd = delta.data() + g * static_cast<std::size_t>(n) * cols_n;
+    const double* pd = d.data() + g * static_cast<std::size_t>(n) * cols_n;
     double* po = out.data() + g * static_cast<std::size_t>(n) * cols_n;
     // k-outer rank-1 updates, as in matmul_tn_reference.
     for (int k = 0; k < n; ++k) {
@@ -773,17 +801,42 @@ void block_gcn_fast(const BlockAdjacency& adj, const Matrix& h,
   for (int g = 0; g < count; ++g) one(g);
 }
 
+// out_g = blocks[g]^T * delta_g as a scatter over the forward CSR index:
+// row i of the block sends a * delta_g[i] to output row c for each nonzero
+// (c, a) of that row. Rows are visited in ascending order, so every output
+// element accumulates one chain over ascending k (k = the block row) from
+// +0.0 — the dense a^T * b chain without its zero terms, which fmadd makes
+// no-ops (see fmadd). Needs no transposed index and no symmetry of A-hat.
+// The ReLU gate, when given, is applied to one delta row at a time in a
+// cols_n scratch row: the same values the gated full-size delta would hold.
 void block_matmul_tn_fast(const BlockAdjacency& adj, const Matrix& delta,
-                          Matrix& out) {
-  const std::vector<Matrix>& blocks = adj.blocks();
+                          const Matrix* relu_out, Matrix& out) {
   const int n = adj.block_size();
   const int cols_n = delta.cols();
   const int count = adj.count();
+  const int* cols = adj.csr_cols();
+  const double* vals = adj.csr_vals();
   out = Matrix::uninitialized(delta.rows(), cols_n);
   const auto one = [&](int g) {
-    matmul_tn_rows(blocks[static_cast<std::size_t>(g)].data(), n, n,
-                   delta.data() + static_cast<std::size_t>(g) * n * cols_n, cols_n,
-                   out.data() + static_cast<std::size_t>(g) * n * cols_n, 0, n);
+    const std::size_t offset = static_cast<std::size_t>(g) * n * cols_n;
+    const double* pd = delta.data() + offset;
+    const double* py = relu_out ? relu_out->data() + offset : nullptr;
+    double* po = out.data() + offset;
+    std::fill(po, po + static_cast<std::size_t>(n) * cols_n, 0.0);
+    std::vector<double> gated(py ? static_cast<std::size_t>(cols_n) : 0);
+    for (int i = 0; i < n; ++i) {
+      const double* drow = pd + static_cast<std::size_t>(i) * cols_n;
+      if (py) {
+        const double* yrow = py + static_cast<std::size_t>(i) * cols_n;
+        for (int j = 0; j < cols_n; ++j) gated[j] = yrow[j] <= 0.0 ? 0.0 : drow[j];
+        drow = gated.data();
+      }
+      for (std::size_t t = adj.row_begin(g, i); t < adj.row_end(g, i); ++t) {
+        const double a = vals[t];
+        double* orow = po + static_cast<std::size_t>(cols[t]) * cols_n;
+        for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(a, drow[j], orow[j]);
+      }
+    }
   };
   if (want_parallel(delta.rows(), cols_n, n) && try_parallel(count, one)) return;
   for (int g = 0; g < count; ++g) one(g);

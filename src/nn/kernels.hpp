@@ -16,8 +16,10 @@
 // and the parallel path partitions output rows into fixed-size chunks that
 // are independent of the thread count. Fast results are therefore
 // bit-identical run-to-run and across thread counts (tested in
-// tests/nn/kernels_test.cpp); fast-vs-reference may differ by FMA
-// contraction only, bounded at 1e-12 relative in the differential suite.
+// tests/nn/kernel_differential_test.cpp, and against frozen copies of the
+// earlier backward kernels in tests/nn/kernel_oracle_test.cpp);
+// fast-vs-reference may differ by FMA contraction only, bounded at 1e-12
+// relative in the differential suite.
 #pragma once
 
 #include "nn/matrix.hpp"
@@ -49,18 +51,19 @@ void affine_fast(const Matrix& a, const Matrix& b, const Matrix* bias,
 // (forward) or blocks[g]^T * delta_g (backward). Operating on the stacked
 // matrix in place is what these buy: the per-graph copy-out/copy-back and the
 // per-call allocations of the naive formulation are pure overhead at GCN
-// sizes. The adjacencies arrive as a staged BlockAdjacency: the fast forward
-// kernels walk its CSR index (built once, reused across layers, heads, and
-// PPO iterations), the reference and backward kernels read the retained
+// sizes. The adjacencies arrive as a staged BlockAdjacency: the fast kernels
+// walk its CSR index (built once, reused across layers, heads, PPO
+// iterations, forward and backward), the reference kernels read the retained
 // dense blocks. Dispatchers: block_diag_matmul / block_diag_matmul_tn.
 void block_affine_reference(const BlockAdjacency& adj, const Matrix& h,
                             Epilogue act, Matrix& out);
 void block_affine_fast(const BlockAdjacency& adj, const Matrix& h,
                        Epilogue act, Matrix& out);
+// relu_out (may be null) gates delta by the ReLU derivative first.
 void block_matmul_tn_reference(const BlockAdjacency& adj, const Matrix& delta,
-                               Matrix& out);
+                               const Matrix* relu_out, Matrix& out);
 void block_matmul_tn_fast(const BlockAdjacency& adj, const Matrix& delta,
-                          Matrix& out);
+                          const Matrix* relu_out, Matrix& out);
 // Whole fused GCN layer, relu(blocks[g] * (h_g * w + bias)) per row block.
 // The affine product for graph g lands in an n x out scratch tile that stays
 // cache-resident until the propagation consumes it, so the full-size

@@ -174,13 +174,16 @@ Matrix block_diag_matmul(const BlockAdjacency& adj, const Matrix& h, Epilogue ac
   return out;
 }
 
-Matrix block_diag_matmul_tn(const BlockAdjacency& adj, const Matrix& delta) {
+Matrix block_diag_matmul_tn(const BlockAdjacency& adj, const Matrix& delta,
+                            const Matrix* relu_out) {
   check_block_shapes(adj, delta, "block_diag_matmul_tn");
+  NPTSN_EXPECT(relu_out == nullptr || relu_out->same_shape(delta),
+               "block_diag_matmul_tn relu output shape mismatch");
   Matrix out;
   if (nn_kernel() == NnKernel::kFast) {
-    nnk::block_matmul_tn_fast(adj, delta, out);
+    nnk::block_matmul_tn_fast(adj, delta, relu_out, out);
   } else {
-    nnk::block_matmul_tn_reference(adj, delta, out);
+    nnk::block_matmul_tn_reference(adj, delta, relu_out, out);
   }
   return out;
 }

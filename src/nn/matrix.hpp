@@ -102,13 +102,13 @@ class Matrix {
 
 // A batch of same-sized square blocks (the per-graph normalized adjacencies
 // of a stacked GCN batch) staged for repeated block-diagonal products. The
-// constructor builds a CSR index over every block once; the fast propagation
-// kernels then walk nonzeros directly instead of re-scanning the dense
-// blocks on every layer, head, and PPO iteration that reuses the batch. The
-// dense blocks are retained verbatim — the reference family and the backward
-// kernels read them, and the CSR is ordered ascending by column within each
-// row, so walking it performs the exact accumulation chain the dense scan
-// performs (bit-identical under either strategy).
+// constructor builds a CSR index over every block once; the fast forward and
+// backward kernels then walk nonzeros directly instead of re-scanning the
+// dense blocks on every layer, head, and PPO iteration that reuses the batch.
+// The dense blocks are retained verbatim for the reference family, and the
+// CSR is ordered ascending by column within each row, so walking it performs
+// the exact accumulation chain the dense scan performs (bit-identical under
+// either strategy).
 class BlockAdjacency {
  public:
   explicit BlockAdjacency(std::vector<Matrix> blocks);
@@ -156,7 +156,12 @@ Matrix matmul_epilogue(const Matrix& a, const Matrix& b, Epilogue act);
 // result is act(adj.blocks()[g] * h_g).
 Matrix block_diag_matmul(const BlockAdjacency& adj, const Matrix& h, Epilogue act);
 // Backward companion: row block g of the result is blocks[g]^T * delta_g.
-Matrix block_diag_matmul_tn(const BlockAdjacency& adj, const Matrix& delta);
+// With relu_out (the forward output of a ReLU-fused op, same shape as
+// delta), delta is first gated by the ReLU derivative — zero where
+// relu_out <= 0 — in the same pass, so the gated full-size delta never
+// materializes.
+Matrix block_diag_matmul_tn(const BlockAdjacency& adj, const Matrix& delta,
+                            const Matrix* relu_out = nullptr);
 // Fused GCN layer: row block g of the result is
 // relu(blocks[g] * (h_g * w + bias)) — affine, propagation, and activation
 // in one kernel call so the full-size affine intermediate never

@@ -61,10 +61,12 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& task) {
         } catch (...) {
           errors[static_cast<std::size_t>(i)] = std::current_exception();
         }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        // Count down under done_mutex: the caller may only observe
+        // remaining == 0 after this lock is released, so it cannot return
+        // (destroying done_mutex and done_cv on its stack) while the last
+        // task is still about to notify through them.
+        std::lock_guard dlock(done_mutex);
+        if (remaining.fetch_sub(1) == 1) done_cv.notify_all();
       });
     }
   }

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "analysis/auditor.hpp"
 #include "analysis/exhaustive.hpp"
 #include "analysis/failure_analyzer.hpp"
@@ -116,6 +120,34 @@ TEST(DeadlineEnvelopeTest, GeneratedInstancesHonorTheEnvelopeToo) {
   EXPECT_LE(config.deadline->ticks(), 2 * 300);
   if (config.deadline->expired()) {
     EXPECT_FALSE(result.stopped_reason.empty());
+  }
+}
+
+TEST(DeadlineEnvelopeTest, StopBeforeTrainingStartsReturnsInsteadOfThrowing) {
+  // The trainer builds its environments before the first epoch, and that
+  // already polls the token. A token that has fired by then (a service
+  // cancel landing in the first milliseconds, an exhausted budget) must
+  // still give a clean return with a reason, never an escaping exception.
+  const auto problem = tiny_problem(2);
+  HeuristicRecovery nbf;
+  const auto cancelled = std::make_shared<Deadline>();
+  cancelled->cancel("cancelled: test");
+  const auto exhausted = Deadline::after(0.0, 1);
+  exhausted->tick();
+  for (const auto& [token, reason] :
+       {std::pair{cancelled, std::string("cancelled: test")},
+        std::pair{exhausted, exhausted->reason()}}) {
+    NptsnConfig config = envelope_config();
+    config.audit_mode = AuditMode::kFinal;
+    config.deadline = token;
+    PlanningResult result;
+    ASSERT_NO_THROW(result = plan(problem, nbf, config)) << reason;
+    EXPECT_EQ(result.stopped_reason, reason + " before training started");
+    EXPECT_FALSE(result.feasible);
+    EXPECT_FALSE(result.best.has_value());
+    EXPECT_FALSE(result.certificate.has_value());
+    EXPECT_EQ(result.epochs_completed, 0);
+    EXPECT_TRUE(result.history.empty());
   }
 }
 

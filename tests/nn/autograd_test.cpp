@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -282,6 +284,123 @@ TEST(Autograd, MaskedSoftmaxRowsRejectsEmptyRow) {
   const Tensor scores = Tensor::constant(Matrix(2, 2));
   EXPECT_THROW(masked_softmax_rows(scores, Matrix(2, 2)), std::invalid_argument);
   EXPECT_THROW(masked_softmax_rows(scores, Matrix(3, 3)), std::invalid_argument);
+}
+
+// --- fused / batched ops -------------------------------------------------------
+// The hot-path ops have hand-fused backward passes (the ReLU gate folded into
+// the adjacency scatter, column sums, block means), so each gets its own
+// finite-difference check, under both kernel families. The adjacency blocks
+// are not symmetric: a backward that applied A instead of A^T would pass on
+// a normalized (symmetric) adjacency but fails here.
+
+// Restores the process-global kernel family on scope exit.
+class KernelFamilyGuard {
+ public:
+  KernelFamilyGuard() : kernel_(nn_kernel()) {}
+  ~KernelFamilyGuard() { set_nn_kernel(kernel_); }
+
+ private:
+  NnKernel kernel_;
+};
+
+constexpr NnKernel kFamilies[] = {NnKernel::kReference, NnKernel::kFast};
+
+// A scalar that weighs every output entry differently, so every entry's
+// gradient is exercised.
+Tensor weighted_sum(const Tensor& t, const Matrix& weights) {
+  return sum_all(hadamard(t, Tensor::constant(weights)));
+}
+
+std::shared_ptr<const BlockAdjacency> asymmetric_blocks(int count, int n, Rng& rng) {
+  std::vector<Matrix> blocks;
+  for (int g = 0; g < count; ++g) {
+    Matrix a(n, n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        if (i == j || rng.uniform() < 0.4) a.at(i, j) = rng.uniform(0.1, 1.0);
+      }
+    }
+    a.at(0, n - 1) = 0.9;
+    a.at(n - 1, 0) = 0.0;
+    blocks.push_back(std::move(a));
+  }
+  return std::make_shared<const BlockAdjacency>(std::move(blocks));
+}
+
+TEST(AutogradGradCheck, BlockGcnFused) {
+  const KernelFamilyGuard guard;
+  Rng rng(11);
+  const int count = 3, n = 4, in = 3, out = 5;
+  const auto adj = asymmetric_blocks(count, n, rng);
+  const Matrix h = random_matrix(count * n, in, rng);
+  const Matrix w = random_matrix(in, out, rng);
+  const Matrix bias = random_matrix(1, out, rng);
+  const Matrix weights = random_matrix(count * n, out, rng);
+  for (const NnKernel family : kFamilies) {
+    set_nn_kernel(family);
+    check_gradient(h, [&](const Tensor& x) {
+      return weighted_sum(block_gcn_fused(adj, x, Tensor::constant(w), Tensor::constant(bias)),
+                          weights);
+    });
+    check_gradient(w, [&](const Tensor& x) {
+      return weighted_sum(block_gcn_fused(adj, Tensor::constant(h), x, Tensor::constant(bias)),
+                          weights);
+    });
+    check_gradient(bias, [&](const Tensor& x) {
+      return weighted_sum(block_gcn_fused(adj, Tensor::constant(h), Tensor::constant(w), x),
+                          weights);
+    });
+  }
+}
+
+TEST(AutogradGradCheck, BlockMatmulRelu) {
+  const KernelFamilyGuard guard;
+  Rng rng(12);
+  const int count = 3, n = 5, cols = 4;
+  const auto adj = asymmetric_blocks(count, n, rng);
+  const Matrix h = random_matrix(count * n, cols, rng);
+  const Matrix weights = random_matrix(count * n, cols, rng);
+  for (const NnKernel family : kFamilies) {
+    set_nn_kernel(family);
+    check_gradient(h, [&](const Tensor& x) {
+      return weighted_sum(block_matmul_relu(adj, x), weights);
+    });
+  }
+}
+
+TEST(AutogradGradCheck, MeanRowsBlocks) {
+  Rng rng(13);
+  const Matrix a = random_matrix(3 * 4, 5, rng);
+  const Matrix weights = random_matrix(3, 5, rng);
+  check_gradient(a, [&](const Tensor& x) {
+    return weighted_sum(mean_rows_blocks(x, 4), weights);
+  });
+}
+
+TEST(AutogradGradCheck, AffineActReluAndTanh) {
+  const KernelFamilyGuard guard;
+  Rng rng(14);
+  const Matrix x0 = random_matrix(6, 4, rng);
+  const Matrix w0 = random_matrix(4, 3, rng);
+  const Matrix b0 = random_matrix(1, 3, rng);
+  const Matrix weights = random_matrix(6, 3, rng);
+  for (const NnKernel family : kFamilies) {
+    set_nn_kernel(family);
+    for (const Epilogue act : {Epilogue::kRelu, Epilogue::kTanh}) {
+      check_gradient(x0, [&](const Tensor& x) {
+        return weighted_sum(
+            affine_act(x, Tensor::constant(w0), Tensor::constant(b0), act), weights);
+      });
+      check_gradient(w0, [&](const Tensor& w) {
+        return weighted_sum(
+            affine_act(Tensor::constant(x0), w, Tensor::constant(b0), act), weights);
+      });
+      check_gradient(b0, [&](const Tensor& b) {
+        return weighted_sum(
+            affine_act(Tensor::constant(x0), Tensor::constant(w0), b, act), weights);
+      });
+    }
+  }
 }
 
 TEST(Autograd, DiamondGraphGradient) {

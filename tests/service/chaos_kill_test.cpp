@@ -54,9 +54,12 @@ struct RunResult {
 RunResult run_serve(const std::vector<std::string>& args, const std::string& crash_point,
                     int signal_after_ms = 0, int signal_to_send = SIGKILL,
                     const std::string& io_fault = "") {
+  // The pid keeps the capture files of test processes that ctest runs in
+  // parallel apart; the counter keeps one process's runs apart.
   static int run_counter = 0;
-  const std::string out_path =
-      ::testing::TempDir() + "nptsn_chaos_out_" + std::to_string(run_counter++) + ".log";
+  const std::string out_path = ::testing::TempDir() + "nptsn_chaos_out_" +
+                               std::to_string(::getpid()) + "_" +
+                               std::to_string(run_counter++) + ".log";
 
   const pid_t pid = ::fork();
   if (pid == 0) {

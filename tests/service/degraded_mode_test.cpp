@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -384,14 +385,18 @@ PlanningRequest tiny_request(const std::string& id) {
   return request;
 }
 
-bool wait_until_durable(const PlannerService& service, double timeout_seconds) {
+bool wait_until(const std::function<bool()>& done, double timeout_seconds) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (service.stats().durable) return true;
+    if (done()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  return service.stats().durable;
+  return done();
+}
+
+bool wait_until_durable(const PlannerService& service, double timeout_seconds) {
+  return wait_until([&] { return service.stats().durable; }, timeout_seconds);
 }
 
 TEST_F(DegradedMode, ServiceShedsWhileDegradedAndHealsThroughTheProbe) {
@@ -416,7 +421,9 @@ TEST_F(DegradedMode, ServiceShedsWhileDegradedAndHealsThroughTheProbe) {
   // Disk heals: the background probe re-arms without any operator action.
   io::disarm_io_faults();
   ASSERT_TRUE(wait_until_durable(service, 5.0));
-  EXPECT_GE(service.counters().rearmed, 1);
+  // The probe thread counts the re-arm only after try_rearm() has already
+  // made the journal durable, so the count can trail the flag: wait for it.
+  EXPECT_TRUE(wait_until([&] { return service.counters().rearmed >= 1; }, 5.0));
 
   const PlanningResponse after = service.submit(tiny_request("after")).get();
   ASSERT_TRUE(after.status == ResponseStatus::kPlanned ||

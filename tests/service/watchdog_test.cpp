@@ -185,5 +185,40 @@ TEST(Watchdog, WedgedSessionQuarantinesItsShardAndBacklogReroutes) {
   service.shutdown(PlannerService::Shutdown::kDrain);
 }
 
+TEST(Watchdog, CancelBeforeTrainingStartsAnswersCancelled) {
+  // The session is held at its start until the watchdog has cancelled its
+  // token, so plan() runs with a token that already fired and stops while
+  // the trainer builds its environments. plan() returns (it no longer
+  // throws there) and the service still answers kCancelled.
+  ServiceConfig config;
+  config.session = small_session();
+  config.session_wall_seconds = 0.2;
+  config.watchdog_grace = 1.0;
+  config.watchdog_poll_seconds = 0.005;
+
+  PlannerService service(config);
+  arm_crash_point("service.start.after_journal", 1);
+  set_crash_point_hook([&service](const char*) {
+    wait_for([&] { return service.counters().watchdog_cancels >= 1; }, 10.0);
+  });
+  struct Cleanup {
+    ~Cleanup() {
+      disarm_crash_points();
+      set_crash_point_hook(nullptr);
+    }
+  } cleanup;
+
+  const PlanningResponse response = service.submit(tiny_request("early")).get();
+  EXPECT_EQ(service.counters().watchdog_cancels, 1);
+  EXPECT_EQ(response.status, ResponseStatus::kCancelled)
+      << to_string(response.status) << ": " << response.error;
+  EXPECT_NE(response.stopped_reason.find("before training started"), std::string::npos)
+      << response.stopped_reason;
+  EXPECT_TRUE(response.error.empty()) << response.error;
+  EXPECT_FALSE(response.feasible);
+  EXPECT_EQ(response.epochs_completed, 0);
+  service.shutdown(PlannerService::Shutdown::kDrain);
+}
+
 }  // namespace
 }  // namespace nptsn
