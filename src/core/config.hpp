@@ -76,21 +76,17 @@ struct NptsnConfig {
   // Threads for the parallel fast-GEMM path on large shapes (1 = serial).
   // Results are bit-identical at every setting; the parallel path only pays
   // off when steps_per_epoch x network width is large, and it shares cores
-  // with num_workers/verification_threads.
+  // with num_workers.
   int nn_threads = 1;
 
   // --- reliability verification ----------------------------------------------
   // Per-step failure analysis through the incremental verification engine
+  // (serial, with verdict memo, outcome cache and staged NBF sessions)
   // instead of a cold sequential FailureAnalyzer run. Verdict, first
   // counterexample, error set, and the logical instrumentation counters are
   // identical by construction (differential-tested), so this knob never
   // changes training trajectories — only how fast analyses complete.
   bool use_verification_engine = true;
-  // NBF evaluations inside one analysis run on this many threads (per
-  // environment — with parallel rollout workers the products multiply, so
-  // keep num_workers * verification_threads near the core count). 1 keeps
-  // the analysis single-threaded with incremental reuse only.
-  int verification_threads = 1;
 
   // --- TSN compute kernels ----------------------------------------------------
   // Kernel family for the TSN data plane (DESIGN.md §16): the bitset-packed

@@ -1,8 +1,7 @@
 // Randomized differential suite for the higher-order failure frontiers
 // (frontier floor + mixed link/switch scenarios): across generated zonal
-// instances and growth trajectories, every engine configuration — thread
-// counts, incremental reuse, shared caches, packed vs scalar NBF — must
-// return BYTE-identical verdicts, counterexamples, ErrorSets, and logical
+// instances and growth trajectories, every engine configuration — private
+// or shared caches, packed vs scalar NBF — must return BYTE-identical verdicts, counterexamples, ErrorSets, and logical
 // counters to the sequential reference analyzer at every (min_order,
 // include_links) setting; and a min_order=2 mixed certificate must audit
 // clean, survive serialization, and reject tampering.
@@ -117,6 +116,20 @@ PlanningProblem small_zonal(std::uint64_t seed) {
   return generate(params, seed);
 }
 
+// Forwards recover() and inherits the default stage(), so the engine runs
+// the scalar HeuristicRecovery path instead of the packed session.
+class UnstagedNbf final : public StatelessNbf {
+ public:
+  explicit UnstagedNbf(const StatelessNbf& inner) : inner_(&inner) {}
+  NbfResult recover(const Topology& topology,
+                    const FailureScenario& scenario) const override {
+    return inner_->recover(topology, scenario);
+  }
+
+ private:
+  const StatelessNbf* inner_;
+};
+
 class FrontierDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FrontierDifferential, EngineMatchesSequentialAcrossOrdersThreadsCaches) {
@@ -132,6 +145,7 @@ TEST_P(FrontierDifferential, EngineMatchesSequentialAcrossOrdersThreadsCaches) {
   const bool pruning = rng.uniform() < 0.8;
 
   const HeuristicRecovery nbf;
+  const UnstagedNbf scalar_nbf(nbf);
   FailureAnalyzer::Options seq_options;
   seq_options.min_order = min_order;
   seq_options.include_links = include_links;
@@ -143,17 +157,13 @@ TEST_P(FrontierDifferential, EngineMatchesSequentialAcrossOrdersThreadsCaches) {
 
   struct Variant {
     const char* name;
-    int threads;
-    bool incremental;
+    const StatelessNbf* nbf;
     bool shared_cache;
-    bool packed;
   };
   const Variant variants[] = {
-      {"serial", 1, true, false, true},
-      {"serial-scalar-nbf", 1, true, false, false},
-      {"2t", 2, true, false, true},
-      {"4t-cold", 4, false, false, true},
-      {"2t-shared-cache", 2, true, true, true},
+      {"serial", &nbf, false},
+      {"serial-scalar-nbf", &scalar_nbf, false},
+      {"shared-cache", &nbf, true},
   };
 
   for (const Variant& variant : variants) {
@@ -162,15 +172,11 @@ TEST_P(FrontierDifferential, EngineMatchesSequentialAcrossOrdersThreadsCaches) {
     options.include_links = include_links;
     options.flow_level_redundancy = flow_level;
     options.use_superset_pruning = pruning;
-    options.incremental = variant.incremental;
-    options.num_threads = variant.threads;
-    options.chunk_size = 4;  // small rounds: exercise the work-stealing loop
-    options.packed_nbf = variant.packed;
     if (variant.shared_cache) {
       options.staging = make_engine_staging(problem);
       options.shared_cache = std::make_shared<EngineSharedCache>();
     }
-    VerificationEngine engine(nbf, options);
+    VerificationEngine engine(*variant.nbf, options);
 
     for (std::size_t i = 0; i < states.size(); ++i) {
       const auto seq = sequential.analyze(states[i]);
@@ -232,8 +238,8 @@ PlanningProblem triple_mesh_problem() {
 
 // A reliable plan enumerates the FULL frontier (no early counterexample
 // exit), so this is where the skip/prune/projection bookkeeping gets its
-// deepest coverage: every engine variant must match the sequential analyzer
-// on the triple-homed mesh at every frontier shape.
+// deepest coverage: the engine must match the sequential analyzer on the
+// triple-homed mesh at every frontier shape.
 TEST(FrontierDifferential, ReliableTripleMeshFullEnumerationMatches) {
   const auto problem = triple_mesh_problem();
   const auto t = triple_mesh_topology(problem);
@@ -257,18 +263,13 @@ TEST(FrontierDifferential, ReliableTripleMeshFullEnumerationMatches) {
         EXPECT_EQ(seq.counterexample.order(), 3);
       }
 
-      for (const int threads : {1, 2, 4}) {
-        VerificationEngine::Options options;
-        options.min_order = min_order;
-        options.include_links = include_links;
-        options.num_threads = threads;
-        options.chunk_size = 4;
-        VerificationEngine engine(nbf, options);
-        expect_equivalent(engine.analyze(t), seq,
-                          "mesh minord " + std::to_string(min_order) +
-                              (include_links ? " links" : "") + " threads " +
-                              std::to_string(threads));
-      }
+      VerificationEngine::Options options;
+      options.min_order = min_order;
+      options.include_links = include_links;
+      VerificationEngine engine(nbf, options);
+      expect_equivalent(engine.analyze(t), seq,
+                        "mesh minord " + std::to_string(min_order) +
+                            (include_links ? " links" : ""));
     }
   }
 }

@@ -48,12 +48,28 @@ struct RunResult {
   std::string output;    // combined stdout+stderr
 };
 
+// True once the capture file holds the daemon's startup banner
+// ("nptsn_serve: ... request(s)"), printed after its signal handlers are in
+// place and right before the service starts.
+bool banner_printed(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("nptsn_serve: ", 0) == 0 && line.find("request(s)") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // fork/exec the serve daemon, optionally with NPTSN_CRASH_POINT and/or
 // NPTSN_IO_FAULT planted, and optionally signalling it from outside after
-// `signal_after_ms` (SIGKILL for the chaos kills; SIGUSR1 for the stats dump).
+// `signal_after_ms` (SIGKILL for the chaos kills). With `signal_after_banner`
+// the signal goes out as soon as the startup banner appears (bounded at
+// 10 s) instead — the SIGUSR1 stats dump, which must not race startup.
 RunResult run_serve(const std::vector<std::string>& args, const std::string& crash_point,
                     int signal_after_ms = 0, int signal_to_send = SIGKILL,
-                    const std::string& io_fault = "") {
+                    const std::string& io_fault = "", bool signal_after_banner = false) {
   // The pid keeps the capture files of test processes that ctest runs in
   // parallel apart; the counter keeps one process's runs apart.
   static int run_counter = 0;
@@ -87,7 +103,12 @@ RunResult run_serve(const std::vector<std::string>& args, const std::string& cra
     ::_exit(127);
   }
 
-  if (signal_after_ms > 0) {
+  if (signal_after_banner) {
+    for (int waited_ms = 0; waited_ms < 10000 && !banner_printed(out_path); waited_ms += 5) {
+      ::usleep(5000);
+    }
+    ::kill(pid, signal_to_send);
+  } else if (signal_after_ms > 0) {
     ::usleep(static_cast<useconds_t>(signal_after_ms) * 1000);
     ::kill(pid, signal_to_send);
   }
@@ -256,7 +277,8 @@ TEST(ChaosKill, SigUsr1DumpsStatsWithoutDisruption) {
                                          "--seed",    "7",          "gen:11:4:2",
                                          "gen:12:4:2", "gen:13:4:2", "gen:14:4:2"};
 
-  const RunResult result = run_serve(args, "", /*signal_after_ms=*/100, SIGUSR1);
+  const RunResult result = run_serve(args, "", /*signal_after_ms=*/0, SIGUSR1,
+                                     /*io_fault=*/"", /*signal_after_banner=*/true);
   ASSERT_TRUE(result.exited) << "daemon died of signal " << result.term_signal;
   EXPECT_TRUE(result.exit_code == 0 || result.exit_code == 1)
       << "exit " << result.exit_code << "\n"

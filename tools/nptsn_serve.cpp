@@ -369,6 +369,13 @@ std::vector<PlanningRequest> build_requests(const Spec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // First thing: until these are installed SIGUSR1's default action kills the
+  // process, so a stats request racing startup must find them in place. The
+  // handlers only set flags; the wait loop below acts on them.
+  std::signal(SIGTERM, on_signal);
+  std::signal(SIGINT, on_signal);
+  std::signal(SIGUSR1, on_sigusr1);
+
   ServiceConfig config;
   config.session.epochs = 12;
   config.session.steps_per_epoch = 256;
@@ -486,10 +493,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 3;
   }
-
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGUSR1, on_sigusr1);
 
   // Chaos harness hook: lets an out-of-process test plant a SIGKILL at a
   // named journal/service point inside this real daemon. Inert otherwise.
