@@ -453,31 +453,6 @@ Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue
   });
 }
 
-Tensor matmul_act(const Tensor& a, const Tensor& b, Epilogue act) {
-  Matrix out = matmul_epilogue(a.value(), b.value(), act);
-  return Tensor::make_op(std::move(out), {a, b}, [act](Node& self) {
-    Node& pa = parent(self, 0);
-    Node& pb = parent(self, 1);
-    const Matrix delta = epilogue_delta(self.grad, self.value, act);
-    if (pa.requires_grad) add_grad(pa, matmul_transposed(delta, pb.value));
-    if (pb.requires_grad) add_grad(pb, matmul_transposed_a(pa.value, delta));
-  });
-}
-
-Tensor block_matmul_relu(std::shared_ptr<const BlockAdjacency> a_hats,
-                         const Tensor& h) {
-  NPTSN_EXPECT(a_hats != nullptr, "block_matmul_relu needs adjacencies");
-  // Forward and backward both run on the stacked matrix in place — the
-  // block-diagonal kernels address each graph's row block directly instead
-  // of copying it out, multiplying, and pasting the product back.
-  Matrix out = block_diag_matmul(*a_hats, h.value(), Epilogue::kRelu);
-  return Tensor::make_op(std::move(out), {h}, [a_hats](Node& self) {
-    Node& ph = parent(self, 0);
-    if (!ph.requires_grad) return;
-    add_grad(ph, block_diag_matmul_tn(*a_hats, self.grad, &self.value));
-  });
-}
-
 Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
                        const Tensor& h, const Tensor& w, const Tensor& bias) {
   NPTSN_EXPECT(a_hats != nullptr, "block_gcn_fused needs adjacencies");
@@ -486,8 +461,8 @@ Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
     Node& ph = parent(self, 0);
     Node& pw = parent(self, 1);
     Node& pb = parent(self, 2);
-    // Same chain the unfused affine + propagation pair walks: relu mask,
-    // back through the adjacency blocks, then the affine gradients. The mask
+    // The forward chain in reverse: relu mask, back through the adjacency
+    // blocks, then the affine gradients. The mask
     // is fused into the adjacency backward, so no gated full-size copy of
     // the incoming gradient exists.
     const Matrix delta_z = block_diag_matmul_tn(*a_hats, self.grad, &self.value);

@@ -105,23 +105,14 @@ Tensor transpose_op(const Tensor& a);
 // activation run as a single fused kernel pass, and the backward pass uses
 // the transposed-GEMM kernels instead of materializing transposes.
 Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue act);
-// One tape node for act(a b) — the GCN propagation step A_hat Z with its
-// ReLU fused into the output tile write.
-Tensor matmul_act(const Tensor& a, const Tensor& b, Epilogue act);
-// Batched GCN propagation over B same-sized graphs stacked vertically:
-// h holds B blocks of a_hats->block_size() rows each and block g of the
-// output is relu(a_hats.blocks()[g] * h_g). The adjacencies are constants
-// (no gradient); h receives a_hats[g]^T grad_g per block. Staging them as a
-// BlockAdjacency once and reusing the handle across layers/iterations is
-// what lets the fast kernels skip re-deriving the sparsity every call.
-Tensor block_matmul_relu(std::shared_ptr<const BlockAdjacency> a_hats,
-                         const Tensor& h);
-// Whole batched GCN layer as ONE tape node: block g of the output is
-// relu(a_hats[g] * (h_g w + bias)). Equivalent bit-for-bit to
-// block_matmul_relu(a_hats, affine_act(h, w, bias, kNone)) under either
-// kernel family, but the full-size affine intermediate never materializes —
-// each graph's affine product lives in a cache-resident scratch tile until
-// its propagation consumes it.
+// Whole batched GCN layer as ONE tape node over B same-sized graphs stacked
+// vertically: h holds B blocks of a_hats->block_size() rows each and block g
+// of the output is relu(a_hats[g] * (h_g w + bias)). The adjacencies are
+// constants (no gradient); staging them as a BlockAdjacency once and reusing
+// the handle across layers/iterations is what lets the fast kernels skip
+// re-deriving the sparsity every call. The full-size affine intermediate
+// never materializes — each graph's affine product lives in a cache-resident
+// scratch tile until its propagation consumes it.
 Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
                        const Tensor& h, const Tensor& w, const Tensor& bias);
 // Per-block column means: (B*block_rows) x F -> B x F (batched GCN readout,
@@ -131,8 +122,8 @@ Tensor mean_rows_blocks(const Tensor& a, int block_rows);
 // the parent (no full-size scratch), so selecting every row of a batch
 // stays O(rows x cols) total.
 Tensor select_row(const Tensor& a, int r);
-// Stacks B 1 x C rows into a B x C tensor (per-observation fallback path
-// for encoders without a batched forward).
+// Stacks B 1 x C rows into a B x C tensor (the GAT encoder's per-graph
+// readouts).
 Tensor stack_rows(const std::vector<Tensor>& rows);
 // Elementwise LeakyReLU with the given negative-side slope.
 Tensor leaky_relu(const Tensor& a, double negative_slope = 0.2);

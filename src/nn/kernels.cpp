@@ -658,49 +658,6 @@ void propagate_rows_csr(const BlockAdjacency& adj, int g, const double* psrc,
   }
 }
 
-void block_affine_reference(const BlockAdjacency& adj, const Matrix& h,
-                            Epilogue act, Matrix& out) {
-  const std::vector<Matrix>& blocks = adj.blocks();
-  const int n = blocks.front().rows();
-  const int cols_n = h.cols();
-  out = Matrix(h.rows(), cols_n);
-  for (std::size_t g = 0; g < blocks.size(); ++g) {
-    const double* pa = blocks[g].data();
-    const double* ph = h.data() + g * static_cast<std::size_t>(n) * cols_n;
-    double* po = out.data() + g * static_cast<std::size_t>(n) * cols_n;
-    // Same i-k-j zero-skip loop as matmul_reference, addressed into the
-    // stacked block instead of a copied-out one — identical operations in
-    // identical order, so reference-family results are unchanged bitwise.
-    for (int i = 0; i < n; ++i) {
-      for (int k = 0; k < n; ++k) {
-        const double aik = pa[static_cast<std::size_t>(i) * n + k];
-        if (aik == 0.0) continue;
-        const double* hrow = ph + static_cast<std::size_t>(k) * cols_n;
-        double* orow = po + static_cast<std::size_t>(i) * cols_n;
-        for (int j = 0; j < cols_n; ++j) orow[j] += aik * hrow[j];
-      }
-    }
-    for (int i = 0; i < n * cols_n; ++i) po[i] = apply_epilogue(po[i], act);
-  }
-}
-
-void block_affine_fast(const BlockAdjacency& adj, const Matrix& h,
-                       Epilogue act, Matrix& out) {
-  const int n = adj.block_size();
-  const int cols_n = h.cols();
-  const int count = adj.count();
-  out = Matrix::uninitialized(h.rows(), cols_n);
-  const auto one = [&](int g) {
-    propagate_rows_csr(adj, g, h.data() + static_cast<std::size_t>(g) * n * cols_n,
-                       cols_n, act,
-                       out.data() + static_cast<std::size_t>(g) * n * cols_n);
-  };
-  // One task per graph: the partition is fixed by the batch itself, so the
-  // result is bit-identical at every thread count (as with run_rows).
-  if (want_parallel(h.rows(), cols_n, n) && try_parallel(count, one)) return;
-  for (int g = 0; g < count; ++g) one(g);
-}
-
 void block_matmul_tn_reference(const BlockAdjacency& adj, const Matrix& delta,
                                const Matrix* relu_out, Matrix& out) {
   const std::vector<Matrix>& blocks = adj.blocks();
@@ -764,7 +721,8 @@ void block_gcn_reference(const BlockAdjacency& adj, const Matrix& h,
         pz[static_cast<std::size_t>(i) * cols_n + j] += bias.data()[j];
       }
     }
-    // out_g = relu(blocks[g] * z_g), as in block_affine_reference.
+    // out_g = relu(blocks[g] * z_g): the same i-k-j zero-skip loop as
+    // matmul_reference, addressed into the stacked output.
     for (int i = 0; i < n; ++i) {
       for (int k = 0; k < n; ++k) {
         const double aik = pa[static_cast<std::size_t>(i) * n + k];

@@ -46,28 +46,25 @@ void matmul_tn_fast(const Matrix& a, const Matrix& b, Matrix& out);
 void affine_fast(const Matrix& a, const Matrix& b, const Matrix* bias,
                  Epilogue act, Matrix& out);
 
-// --- block-diagonal batched GEMM (the GCN propagation step) -----------------
-// h stacks one n x C block per graph; out row block g is act(blocks[g] * h_g)
-// (forward) or blocks[g]^T * delta_g (backward). Operating on the stacked
-// matrix in place is what these buy: the per-graph copy-out/copy-back and the
-// per-call allocations of the naive formulation are pure overhead at GCN
-// sizes. The adjacencies arrive as a staged BlockAdjacency: the fast kernels
-// walk its CSR index (built once, reused across layers, heads, PPO
-// iterations, forward and backward), the reference kernels read the retained
-// dense blocks. Dispatchers: block_diag_matmul / block_diag_matmul_tn.
-void block_affine_reference(const BlockAdjacency& adj, const Matrix& h,
-                            Epilogue act, Matrix& out);
-void block_affine_fast(const BlockAdjacency& adj, const Matrix& h,
-                       Epilogue act, Matrix& out);
+// --- block-diagonal batched GEMM (the GCN layer and its backward) ----------
+// h/delta stack one n x C block per graph; out row block g is
+// relu(blocks[g] * (h_g * w + bias)) (forward) or blocks[g]^T * delta_g
+// (backward). Operating on the stacked matrix in place is what these buy:
+// the per-graph copy-out/copy-back and the per-call allocations of the naive
+// formulation are pure overhead at GCN sizes. The adjacencies arrive as a
+// staged BlockAdjacency: the fast kernels walk its CSR index (built once,
+// reused across layers, heads, PPO iterations, forward and backward), the
+// reference kernels read the retained dense blocks. Dispatchers:
+// block_diag_gcn / block_diag_matmul_tn.
+
 // relu_out (may be null) gates delta by the ReLU derivative first.
 void block_matmul_tn_reference(const BlockAdjacency& adj, const Matrix& delta,
                                const Matrix* relu_out, Matrix& out);
 void block_matmul_tn_fast(const BlockAdjacency& adj, const Matrix& delta,
                           const Matrix* relu_out, Matrix& out);
-// Whole fused GCN layer, relu(blocks[g] * (h_g * w + bias)) per row block.
 // The affine product for graph g lands in an n x out scratch tile that stays
-// cache-resident until the propagation consumes it, so the full-size
-// intermediate (B n) x out matrix of the two-op formulation never exists.
+// cache-resident until the propagation consumes it, so no full-size
+// (B n) x out intermediate ever exists.
 void block_gcn_reference(const BlockAdjacency& adj, const Matrix& h,
                          const Matrix& w, const Matrix& bias, Matrix& out);
 void block_gcn_fast(const BlockAdjacency& adj, const Matrix& h,

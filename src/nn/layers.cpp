@@ -39,17 +39,10 @@ void Linear::collect_parameters(std::vector<Tensor>& out) const {
 GcnLayer::GcnLayer(int in_features, int out_features, Rng& rng)
     : lin_(in_features, out_features, rng) {}
 
-Tensor GcnLayer::forward(const Tensor& a_hat, const Tensor& h) const {
-  NPTSN_EXPECT(a_hat.rows() == a_hat.cols() && a_hat.rows() == h.rows(),
-               "adjacency/feature shape mismatch");
-  return matmul_act(a_hat, lin_.forward(h), Epilogue::kRelu);
-}
-
 Tensor GcnLayer::forward_batched(const std::shared_ptr<const BlockAdjacency>& a_hats,
                                  const Tensor& h) const {
-  // Fused affine + propagation + ReLU: bit-identical to
-  // block_matmul_relu(a_hats, lin_.forward(h)) but without materializing the
-  // stacked affine intermediate.
+  // Fused affine + propagation + ReLU: the affine product of each graph
+  // lives in a cache-resident scratch tile, never as a stacked intermediate.
   return block_gcn_fused(a_hats, h, lin_.weight(), lin_.bias());
 }
 

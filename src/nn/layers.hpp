@@ -38,12 +38,11 @@ class GcnLayer {
  public:
   GcnLayer(int in_features, int out_features, Rng& rng);
 
-  // a_hat: n x n constant; h: n x in -> relu(a_hat h W + b): n x out.
-  Tensor forward(const Tensor& a_hat, const Tensor& h) const;
-  // Batched forward over B same-sized graphs stacked vertically: h is
-  // (B n) x in, block g propagates through a_hats.blocks()[g]. The affine
-  // part runs as ONE stacked GEMM over all B graphs; only the n x n
-  // adjacency products stay per-graph, driven by the staged CSR index.
+  // Forward over B >= 1 same-sized graphs stacked vertically: h is
+  // (B n) x in, block g propagates through a_hats.blocks()[g] and comes out
+  // as relu(A_hat_g h_g W + b): (B n) x out. The affine product and the
+  // n x n adjacency product run per graph in one fused kernel pass, the
+  // propagation driven by the staged CSR index.
   Tensor forward_batched(const std::shared_ptr<const BlockAdjacency>& a_hats,
                          const Tensor& h) const;
 

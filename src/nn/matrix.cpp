@@ -115,17 +115,6 @@ Matrix affine(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act
   return out;
 }
 
-Matrix matmul_epilogue(const Matrix& a, const Matrix& b, Epilogue act) {
-  NPTSN_EXPECT(a.cols() == b.rows(), "matmul_epilogue shape mismatch");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::affine_fast(a, b, nullptr, act, out);
-  } else {
-    nnk::affine_reference(a, b, nullptr, act, out);
-  }
-  return out;
-}
-
 BlockAdjacency::BlockAdjacency(std::vector<Matrix> blocks)
     : blocks_(std::move(blocks)) {
   NPTSN_EXPECT(!blocks_.empty(), "BlockAdjacency needs at least one block");
@@ -162,17 +151,6 @@ void check_block_shapes(const BlockAdjacency& adj, const Matrix& h, const char* 
 }
 
 }  // namespace
-
-Matrix block_diag_matmul(const BlockAdjacency& adj, const Matrix& h, Epilogue act) {
-  check_block_shapes(adj, h, "block_diag_matmul");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::block_affine_fast(adj, h, act, out);
-  } else {
-    nnk::block_affine_reference(adj, h, act, out);
-  }
-  return out;
-}
 
 Matrix block_diag_matmul_tn(const BlockAdjacency& adj, const Matrix& delta,
                             const Matrix* relu_out) {

@@ -30,8 +30,8 @@ NnKernel nn_kernel();
 void set_nn_kernel_threads(int threads);
 int nn_kernel_threads();
 
-// Fused epilogue applied by affine/matmul_epilogue in the same pass that
-// writes the output tile.
+// Fused epilogue applied by affine in the same pass that writes the output
+// tile.
 enum class Epilogue { kNone, kRelu, kTanh };
 
 namespace detail {
@@ -137,8 +137,8 @@ class BlockAdjacency {
 };
 
 // Free-function kernels. All check shapes. The GEMM entry points (matmul,
-// matmul_transposed, matmul_transposed_a, affine, matmul_epilogue) dispatch
-// on the process-global kernel family.
+// matmul_transposed, matmul_transposed_a, affine, and the block-diagonal
+// pair below) dispatch on the process-global kernel family.
 Matrix matmul(const Matrix& a, const Matrix& b);
 // a (M x K) * b^T with b given row-major as N x K — the gradient kernel
 // grad_x = grad * W^T without materializing the transpose.
@@ -149,13 +149,8 @@ Matrix matmul_transposed_a(const Matrix& a, const Matrix& b);
 // act(x * w + bias) in one pass; bias is a 1 x N row (may be null) and act
 // is applied elementwise as the output tile is written.
 Matrix affine(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act);
-// act(a * b) — a matmul with a fused activation epilogue.
-Matrix matmul_epilogue(const Matrix& a, const Matrix& b, Epilogue act);
-// Block-diagonal batched GEMM over a stacked batch (the GCN propagation
-// step): h stacks one n x C row block per graph and row block g of the
-// result is act(adj.blocks()[g] * h_g).
-Matrix block_diag_matmul(const BlockAdjacency& adj, const Matrix& h, Epilogue act);
-// Backward companion: row block g of the result is blocks[g]^T * delta_g.
+// The GCN propagation backward over a stacked batch: delta stacks one n x C
+// row block per graph and row block g of the result is blocks[g]^T * delta_g.
 // With relu_out (the forward output of a ReLU-fused op, same shape as
 // delta), delta is first gated by the ReLU derivative — zero where
 // relu_out <= 0 — in the same pass, so the gated full-size delta never

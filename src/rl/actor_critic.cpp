@@ -50,36 +50,17 @@ ActorCritic::ActorCritic(const Config& config, Rng& rng)
                   config_.param_dim,
               config_.critic_hidden, 1, rng) {}
 
-Tensor ActorCritic::encode(const Observation& obs) const {
-  NPTSN_EXPECT(obs.features.rows() == config_.num_nodes &&
-                   obs.features.cols() == config_.feature_dim,
-               "observation feature shape mismatch");
-  NPTSN_EXPECT(obs.a_hat.rows() == config_.num_nodes && obs.a_hat.cols() == config_.num_nodes,
-               "observation adjacency shape mismatch");
-  NPTSN_EXPECT(obs.params.rows() == 1 && obs.params.cols() == config_.param_dim,
-               "observation parameter shape mismatch");
-
-  Tensor h = Tensor::constant(obs.features);
-  if (!gcn_.empty()) {
-    const Tensor a_hat = Tensor::constant(obs.a_hat);
-    for (const auto& layer : gcn_) h = layer.forward(a_hat, h);
-  } else if (!gat_.empty()) {
-    // The attention neighborhood is A_hat's sparsity pattern (self loops
-    // are already part of the normalized adjacency).
-    for (const auto& layer : gat_) h = layer.forward(obs.a_hat, h);
-  }
-  Tensor embedding = mean_rows(h);
-  if (config_.param_dim == 0) return embedding;
-  return concat_cols(embedding, Tensor::constant(obs.params));
-}
-
 ActorCritic::ObservationBatch ActorCritic::stage_batch(
     const std::vector<const Observation*>& obs) const {
+  return stage(obs, stage_cache_.get());
+}
+
+ActorCritic::ObservationBatch ActorCritic::stage(const std::vector<const Observation*>& obs,
+                                                 AdjacencyStageCache* cache) const {
   NPTSN_EXPECT(!obs.empty(), "stage_batch needs at least one observation");
   ObservationBatch staged;
   staged.batch = static_cast<int>(obs.size());
   staged.observations = obs;
-  if (!gat_.empty()) return staged;  // per-observation fallback stages nothing
 
   const int batch = staged.batch;
   const int n = config_.num_nodes;
@@ -102,9 +83,8 @@ ActorCritic::ObservationBatch ActorCritic::stage_batch(
   }
   staged.features = Tensor::constant(std::move(features));
   if (!gcn_.empty()) {
-    staged.a_hats = stage_cache_
-                        ? stage_cache_->stage(std::move(a_hats))
-                        : std::make_shared<const BlockAdjacency>(std::move(a_hats));
+    staged.a_hats = cache ? cache->stage(std::move(a_hats))
+                          : std::make_shared<const BlockAdjacency>(std::move(a_hats));
   }
   if (config_.param_dim > 0) {
     Matrix params(batch, config_.param_dim);
@@ -121,33 +101,34 @@ ActorCritic::ObservationBatch ActorCritic::stage_batch(
 Tensor ActorCritic::encode_batch(const ObservationBatch& staged) const {
   NPTSN_EXPECT(staged.batch > 0, "encode_batch needs a staged batch");
 
+  Tensor embedding;
   if (!gat_.empty()) {
-    // GAT (the rejected ablation encoder) has no batched propagation; stack
-    // the per-observation encodings instead.
+    // GAT (the rejected ablation encoder) has no batched propagation: attend
+    // per observation, with A_hat's sparsity pattern as the neighborhood
+    // (self loops are already part of the normalized adjacency), and stack
+    // the readouts.
     std::vector<Tensor> rows;
     rows.reserve(staged.observations.size());
-    for (const Observation* o : staged.observations) rows.push_back(encode(*o));
-    return stack_rows(rows);
+    for (const Observation* o : staged.observations) {
+      Tensor h = Tensor::constant(o->features);
+      for (const auto& layer : gat_) h = layer.forward(o->a_hat, h);
+      rows.push_back(mean_rows(h));
+    }
+    embedding = stack_rows(rows);
+  } else {
+    Tensor h = staged.features;
+    for (const auto& layer : gcn_) h = layer.forward_batched(staged.a_hats, h);
+    embedding = mean_rows_blocks(h, config_.num_nodes);
   }
-
-  Tensor h = staged.features;
-  for (const auto& layer : gcn_) h = layer.forward_batched(staged.a_hats, h);
-  Tensor embedding = mean_rows_blocks(h, config_.num_nodes);
   if (config_.param_dim == 0) return embedding;
   return concat_cols(embedding, staged.params);
 }
 
 ActorCritic::Output ActorCritic::forward(const Observation& obs) const {
-  const Tensor encoded = encode(obs);
+  // Rollout observations are seen once: staging them through the shared
+  // cache would only evict the batches the PPO updates reuse.
+  const Tensor encoded = encode_batch(stage({&obs}, nullptr));
   return {actor_.forward(encoded), critic_.forward(encoded)};
-}
-
-Tensor ActorCritic::forward_logits(const Observation& obs) const {
-  return actor_.forward(encode(obs));
-}
-
-Tensor ActorCritic::forward_value(const Observation& obs) const {
-  return critic_.forward(encode(obs));
 }
 
 Tensor ActorCritic::forward_logits_batch(const ObservationBatch& staged) const {
@@ -156,14 +137,6 @@ Tensor ActorCritic::forward_logits_batch(const ObservationBatch& staged) const {
 
 Tensor ActorCritic::forward_value_batch(const ObservationBatch& staged) const {
   return critic_.forward(encode_batch(staged));
-}
-
-Tensor ActorCritic::forward_logits_batch(const std::vector<const Observation*>& obs) const {
-  return forward_logits_batch(stage_batch(obs));
-}
-
-Tensor ActorCritic::forward_value_batch(const std::vector<const Observation*>& obs) const {
-  return forward_value_batch(stage_batch(obs));
 }
 
 std::vector<Tensor> ActorCritic::actor_parameters() const {

@@ -37,12 +37,10 @@ class ActorCritic {
     Tensor logits;  // 1 x A
     Tensor value;   // 1 x 1
   };
+  // The rollout forward: obs staged as a one-graph batch (bypassing the
+  // stage cache) and run through the same encode_batch the PPO update uses,
+  // so both phases evaluate one network function.
   Output forward(const Observation& obs) const;
-
-  // Head-specific forwards for the PPO update phases (the shared GCN is
-  // evaluated either way, but the unused 256x256 head is skipped).
-  Tensor forward_logits(const Observation& obs) const;
-  Tensor forward_value(const Observation& obs) const;
 
   // Everything weight-independent about a batch of observations, staged
   // once: the stacked feature matrix, the stacked parameter rows, and the
@@ -50,7 +48,7 @@ class ActorCritic {
   // observations through the heads dozens of times while only the weights
   // change — stage once per update, reuse across every iteration of both
   // head loops. The source observations must outlive the staged batch (the
-  // GAT fallback and shape checks read through the retained pointers).
+  // GAT encoder reads its inputs through the retained pointers).
   // features/params are staged as constant Tensors (safe to reuse across
   // tapes: constants receive no gradient and hold no traversal state), so a
   // reuse costs no copy at all.
@@ -59,29 +57,26 @@ class ActorCritic {
     Tensor features;                               // constant, (B n) x F
     Tensor params;                                 // constant, B x P (undefined when P == 0)
     std::shared_ptr<const BlockAdjacency> a_hats;  // null unless GCN layers exist
-    std::vector<const Observation*> observations;  // per-observation fallback path
+    std::vector<const Observation*> observations;  // GAT's per-observation inputs
   };
   ObservationBatch stage_batch(const std::vector<const Observation*>& obs) const;
 
   // Optional cross-session reuse of staged adjacency forms (nn/stage_cache):
   // when installed, stage_batch serves content-verified hits from the cache
   // instead of rebuilding dense blocks + CSR per batch. Exact (bit-identical
-  // forwards with the cache on or off); null uninstalls.
+  // forwards with the cache on or off); null uninstalls. forward() never
+  // reads or fills it.
   void set_stage_cache(std::shared_ptr<AdjacencyStageCache> cache) {
     stage_cache_ = std::move(cache);
   }
 
-  // Batched head forwards over B observations: the GCN affine stages and
-  // every MLP layer run as ONE stacked GEMM over all B inputs instead of B
-  // per-observation calls (the PPO-update hot path; DESIGN.md §11). Row i
-  // of the result equals the per-observation forward of obs[i] bit-for-bit
-  // under either kernel family.
+  // Batched head forwards over B observations: every MLP layer runs as ONE
+  // stacked GEMM over all B inputs and each GCN layer as one fused
+  // block-diagonal pass (the PPO-update hot path; DESIGN.md §11). Row i
+  // of the result equals forward(obs[i]) bit-for-bit under either kernel
+  // family (tests/rl/forward_contract_test.cpp).
   Tensor forward_logits_batch(const ObservationBatch& staged) const;  // B x A
   Tensor forward_value_batch(const ObservationBatch& staged) const;   // B x 1
-  // Convenience overloads that stage per call. Pointers must stay valid for
-  // the call only.
-  Tensor forward_logits_batch(const std::vector<const Observation*>& obs) const;
-  Tensor forward_value_batch(const std::vector<const Observation*>& obs) const;
 
   const Config& config() const { return config_; }
 
@@ -95,9 +90,11 @@ class ActorCritic {
   void copy_parameters_from(const ActorCritic& other);
 
  private:
-  Tensor encode(const Observation& obs) const;  // 1 x (embedding + P)
-  // B x (embedding + P); GCN encoders stack all graphs, GAT falls back to
-  // per-observation encoding with a row stack.
+  // stage_batch with an explicit cache (null = stage afresh).
+  ObservationBatch stage(const std::vector<const Observation*>& obs,
+                         AdjacencyStageCache* cache) const;
+  // B x (embedding + P); GCN encoders propagate all graphs at once, GAT
+  // attends per observation and stacks the readouts.
   Tensor encode_batch(const ObservationBatch& staged) const;
 
   Config config_;

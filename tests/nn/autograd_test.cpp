@@ -353,21 +353,6 @@ TEST(AutogradGradCheck, BlockGcnFused) {
   }
 }
 
-TEST(AutogradGradCheck, BlockMatmulRelu) {
-  const KernelFamilyGuard guard;
-  Rng rng(12);
-  const int count = 3, n = 5, cols = 4;
-  const auto adj = asymmetric_blocks(count, n, rng);
-  const Matrix h = random_matrix(count * n, cols, rng);
-  const Matrix weights = random_matrix(count * n, cols, rng);
-  for (const NnKernel family : kFamilies) {
-    set_nn_kernel(family);
-    check_gradient(h, [&](const Tensor& x) {
-      return weighted_sum(block_matmul_relu(adj, x), weights);
-    });
-  }
-}
-
 TEST(AutogradGradCheck, MeanRowsBlocks) {
   Rng rng(13);
   const Matrix a = random_matrix(3 * 4, 5, rng);

@@ -138,13 +138,6 @@ TEST(KernelDifferential, AffineEpiloguesAgreeOnAllShapes) {
         expect_within(affine(x, w, pbias, act), ref, kTol, "affine");
       }
     }
-    set_nn_kernel(NnKernel::kReference);
-    const Matrix p = random_matrix(s.m, s.m, 0.3, rng);
-    const Matrix z = random_matrix(s.m, s.n, 0.7, rng);
-    const Matrix ref = matmul_epilogue(p, z, Epilogue::kRelu);
-    set_nn_kernel(NnKernel::kFast);
-    expect_within(matmul_epilogue(p, z, Epilogue::kRelu), ref, kTol,
-                  "matmul_epilogue");
   }
 }
 
@@ -169,12 +162,9 @@ TEST(KernelDifferential, BlockDiagonalFamiliesAgree) {
       const Matrix bias = random_matrix(1, out, 1.0, rng);
 
       set_nn_kernel(NnKernel::kReference);
-      const Matrix ref_prop = block_diag_matmul(adj, h, Epilogue::kRelu);
       const Matrix ref_tn = block_diag_matmul_tn(adj, delta);
       const Matrix ref_gcn = block_diag_gcn(adj, h, w, bias);
       set_nn_kernel(NnKernel::kFast);
-      expect_within(block_diag_matmul(adj, h, Epilogue::kRelu), ref_prop, kTol,
-                    "block_diag_matmul");
       expect_within(block_diag_matmul_tn(adj, delta), ref_tn, kTol,
                     "block_diag_matmul_tn");
       expect_within(block_diag_gcn(adj, h, w, bias), ref_gcn, kTol,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace nptsn {
@@ -98,19 +99,30 @@ TEST(GcnLayer, PropagatesThroughAHat) {
     return a;
   }());
   const Tensor h = Tensor::constant(Matrix::from({{1.0, 0.0}, {0.0, 1.0}}));
-  const Tensor out = layer.forward(Tensor::constant(a_hat), h);
+  const Tensor out =
+      layer.forward_batched(std::make_shared<const BlockAdjacency>(std::vector{a_hat}), h);
   EXPECT_EQ(out.rows(), 2);
   EXPECT_EQ(out.cols(), 2);
   // ReLU output is non-negative.
   for (int i = 0; i < out.value().size(); ++i) EXPECT_GE(out.value().data()[i], 0.0);
+  // And it is relu(A_hat (H W + b)), spelled out.
+  std::vector<Tensor> params;
+  layer.collect_parameters(params);
+  const Matrix z = affine(h.value(), params[0].value(), &params[1].value(), Epilogue::kNone);
+  for (int i = 0; i < 2; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      const double pre = a_hat.at(i, 0) * z.at(0, j) + a_hat.at(i, 1) * z.at(1, j);
+      EXPECT_NEAR(out.value().at(i, j), std::max(pre, 0.0), 1e-12);
+    }
+  }
 }
 
 TEST(GcnLayer, ShapeMismatchChecked) {
   Rng rng(7);
   GcnLayer layer(2, 2, rng);
-  const Tensor a_hat = Tensor::constant(Matrix(3, 3));
+  const auto a_hat = std::make_shared<const BlockAdjacency>(std::vector{Matrix(3, 3)});
   const Tensor h = Tensor::constant(Matrix(2, 2));
-  EXPECT_THROW(layer.forward(a_hat, h), std::invalid_argument);
+  EXPECT_THROW(layer.forward_batched(a_hat, h), std::invalid_argument);
 }
 
 TEST(GatLayer, ShapesAndNonNegativity) {

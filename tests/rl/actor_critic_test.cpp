@@ -47,12 +47,12 @@ TEST(ActorCritic, HeadSpecificForwardsMatchCombined) {
   ActorCritic net(small_config(), rng);
   const auto obs = small_obs();
   const auto out = net.forward(obs);
-  const auto logits = net.forward_logits(obs);
-  const auto value = net.forward_value(obs);
-  for (int j = 0; j < 5; ++j) {
-    EXPECT_DOUBLE_EQ(out.logits.value().at(0, j), logits.value().at(0, j));
-  }
-  EXPECT_DOUBLE_EQ(out.value.item(), value.item());
+  const auto staged = net.stage_batch({&obs});
+  const auto logits = net.forward_logits_batch(staged);
+  const auto value = net.forward_value_batch(staged);
+  ASSERT_EQ(logits.rows(), 1);
+  for (int j = 0; j < 5; ++j) EXPECT_EQ(out.logits.value().at(0, j), logits.value().at(0, j));
+  EXPECT_EQ(out.value.item(), value.item());
 }
 
 TEST(ActorCritic, DefaultEmbeddingIsTwiceNumNodes) {
@@ -128,17 +128,24 @@ TEST(ActorCritic, CopyParametersProducesIdenticalOutputs) {
 }
 
 TEST(ActorCritic, ObservationShapeValidated) {
-  Rng rng(9);
-  ActorCritic net(small_config(), rng);
-  auto obs = small_obs();
-  obs.features = Matrix(3, 5);  // wrong feature dim
-  EXPECT_THROW(net.forward(obs), std::invalid_argument);
-  obs = small_obs();
-  obs.a_hat = Matrix(2, 2);
-  EXPECT_THROW(net.forward(obs), std::invalid_argument);
-  obs = small_obs();
-  obs.params = Matrix(1, 3);
-  EXPECT_THROW(net.forward(obs), std::invalid_argument);
+  for (const GraphEncoder encoder : {GraphEncoder::kGcn, GraphEncoder::kGat}) {
+    auto c = small_config();
+    c.encoder = encoder;
+    Rng rng(9);
+    ActorCritic net(c, rng);
+    auto obs = small_obs();
+    obs.features = Matrix(3, 5);  // wrong feature dim
+    EXPECT_THROW(net.forward(obs), std::invalid_argument);
+    EXPECT_THROW(net.stage_batch({&obs}), std::invalid_argument);
+    obs = small_obs();
+    obs.a_hat = Matrix(2, 2);
+    EXPECT_THROW(net.forward(obs), std::invalid_argument);
+    EXPECT_THROW(net.stage_batch({&obs}), std::invalid_argument);
+    obs = small_obs();
+    obs.params = Matrix(1, 3);
+    EXPECT_THROW(net.forward(obs), std::invalid_argument);
+    EXPECT_THROW(net.stage_batch({&obs}), std::invalid_argument);
+  }
 }
 
 TEST(ActorCritic, ConfigValidated) {

@@ -34,8 +34,11 @@ namespace {
 using nptsn::testing::corrupt_file_byte;
 using nptsn::testing::tiny_problem;
 
+// The pid keeps the journals of two concurrent runs of this suite (two build
+// trees, or a sanitizer build beside the normal one) from deleting each other.
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "nptsn_chaos_" + name;
+  const std::string dir =
+      ::testing::TempDir() + "nptsn_chaos_" + std::to_string(::getpid()) + "_" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -66,10 +69,15 @@ bool banner_printed(const std::string& path) {
 // NPTSN_IO_FAULT planted, and optionally signalling it from outside after
 // `signal_after_ms` (SIGKILL for the chaos kills). With `signal_after_banner`
 // the signal goes out as soon as the startup banner appears (bounded at
-// 10 s) instead — the SIGUSR1 stats dump, which must not race startup.
+// 10 s); with `signal_at_fork` it goes out straight after the fork, racing
+// the child's exec and startup. The daemon is exec'd the way its usage text
+// asks supervisors to: with SIGTERM, SIGINT and SIGUSR1 blocked, which it
+// unblocks once its handlers are in place, so a signal can never catch it
+// with the default dispositions.
 RunResult run_serve(const std::vector<std::string>& args, const std::string& crash_point,
                     int signal_after_ms = 0, int signal_to_send = SIGKILL,
-                    const std::string& io_fault = "", bool signal_after_banner = false) {
+                    const std::string& io_fault = "", bool signal_after_banner = false,
+                    bool signal_at_fork = false) {
   // The pid keeps the capture files of test processes that ctest runs in
   // parallel apart; the counter keeps one process's runs apart.
   static int run_counter = 0;
@@ -77,7 +85,15 @@ RunResult run_serve(const std::vector<std::string>& args, const std::string& cra
                                std::to_string(::getpid()) + "_" +
                                std::to_string(run_counter++) + ".log";
 
+  sigset_t handled;
+  sigset_t parent_mask;
+  sigemptyset(&handled);
+  sigaddset(&handled, SIGTERM);
+  sigaddset(&handled, SIGINT);
+  sigaddset(&handled, SIGUSR1);
+  ::pthread_sigmask(SIG_BLOCK, &handled, &parent_mask);
   const pid_t pid = ::fork();
+  if (pid != 0) ::pthread_sigmask(SIG_SETMASK, &parent_mask, nullptr);
   if (pid == 0) {
     const int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
@@ -103,7 +119,9 @@ RunResult run_serve(const std::vector<std::string>& args, const std::string& cra
     ::_exit(127);
   }
 
-  if (signal_after_banner) {
+  if (signal_at_fork) {
+    ::kill(pid, signal_to_send);
+  } else if (signal_after_banner) {
     for (int waited_ms = 0; waited_ms < 10000 && !banner_printed(out_path); waited_ms += 5) {
       ::usleep(5000);
     }
@@ -288,6 +306,31 @@ TEST(ChaosKill, SigUsr1DumpsStatsWithoutDisruption) {
   EXPECT_NE(result.output.find("=== end stats ==="), std::string::npos);
   EXPECT_NE(result.output.find("journal:"), std::string::npos);
   // The burst itself was not disturbed: all four requests answered once.
+  audit_journal(dir, 4, result.output);
+  std::filesystem::remove_all(dir);
+}
+
+// A stats request sent the instant the daemon is spawned, with no banner
+// wait: it arrives before exec or before main, finds the signal blocked by
+// the launcher, stays pending until the daemon's handlers are installed, and
+// then dumps the stats like any other.
+TEST(ChaosKill, SigUsr1AtSpawnIsDeliveredAfterStartup) {
+  const std::string dir = fresh_dir("sigusr1_at_spawn");
+  const std::vector<std::string> args = {"--journal", dir,          "--epochs",
+                                         "4",         "--steps",    "64",
+                                         "--seed",    "7",          "gen:11:4:2",
+                                         "gen:12:4:2", "gen:13:4:2", "gen:14:4:2"};
+
+  const RunResult result =
+      run_serve(args, "", /*signal_after_ms=*/0, SIGUSR1, /*io_fault=*/"",
+                /*signal_after_banner=*/false, /*signal_at_fork=*/true);
+  ASSERT_TRUE(result.exited) << "daemon died of signal " << result.term_signal;
+  EXPECT_TRUE(result.exit_code == 0 || result.exit_code == 1)
+      << "exit " << result.exit_code << "\n"
+      << result.output;
+  EXPECT_NE(result.output.find("=== nptsn_serve stats ==="), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("=== end stats ==="), std::string::npos);
   audit_journal(dir, 4, result.output);
   std::filesystem::remove_all(dir);
 }

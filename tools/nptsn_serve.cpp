@@ -191,7 +191,11 @@ void usage(const char* argv0) {
       "  --repeat N           submit every spec N times (ids get -rK)\n"
       "\n"
       "signals: SIGTERM/SIGINT cancel and persist; SIGUSR1 dumps live service\n"
-      "stats (queue depths, shard health, journal durability) to stderr.\n",
+      "stats (queue depths, shard health, journal durability) to stderr.\n"
+      "A supervisor that may signal the daemon right after spawning it should\n"
+      "exec it with SIGTERM, SIGINT and SIGUSR1 blocked: the daemon unblocks\n"
+      "them once its handlers are installed, so an early signal is delivered\n"
+      "then instead of killing it. Otherwise wait for the startup banner.\n",
       argv0);
 }
 
@@ -371,10 +375,19 @@ std::vector<PlanningRequest> build_requests(const Spec& spec) {
 int main(int argc, char** argv) {
   // First thing: until these are installed SIGUSR1's default action kills the
   // process, so a stats request racing startup must find them in place. The
-  // handlers only set flags; the wait loop below acts on them.
+  // handlers only set flags; the wait loop below acts on them. A supervisor
+  // that launched us with the three signals blocked (the mask survives exec)
+  // closed the window before main as well: whatever arrived meanwhile stays
+  // pending and is delivered to the handlers by the unblock.
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
   std::signal(SIGUSR1, on_sigusr1);
+  sigset_t handled;
+  sigemptyset(&handled);
+  sigaddset(&handled, SIGTERM);
+  sigaddset(&handled, SIGINT);
+  sigaddset(&handled, SIGUSR1);
+  sigprocmask(SIG_UNBLOCK, &handled, nullptr);
 
   ServiceConfig config;
   config.session.epochs = 12;
