@@ -89,14 +89,15 @@ struct NptsnConfig {
   bool use_verification_engine = true;
 
   // --- TSN compute kernels ----------------------------------------------------
-  // Kernel family for the TSN data plane (DESIGN.md §16): the bitset-packed
-  // NBF recovery session and the packed simulator state. kFast is
-  // bit-identical to kReference by contract — every slot decision is integer
-  // arithmetic, so unlike nn_kernel there is no FP divergence and no salt:
-  // verdicts, counterexamples, certificates, and training trajectories are
-  // byte-identical across families (differential-tested). kReference keeps
-  // the original scalar loops as frozen ground truth. plan() installs this
-  // process-globally (set_tsn_kernel), like nn_kernel.
+  // Kernel family for the TSN data plane (DESIGN.md §16). It selects only
+  // whether NBFs hand out staged, bitset-packed recovery sessions (kFast)
+  // or run the scalar std::map recovery (kReference); the simulator is
+  // scalar either way. kFast is bit-identical to kReference by contract —
+  // every slot decision is integer arithmetic, so unlike nn_kernel there is
+  // no FP divergence and no salt: verdicts, counterexamples, certificates,
+  // and training trajectories are byte-identical across families
+  // (differential-tested). plan() installs this process-globally
+  // (set_tsn_kernel), like nn_kernel.
   TsnKernel tsn_kernel = TsnKernel::kFast;
 
   // --- failure frontier --------------------------------------------------------

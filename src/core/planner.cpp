@@ -17,8 +17,8 @@ PlanningResult plan(const PlanningProblem& problem, const StatelessNbf& nbf,
   // pass of this run (process-global; see NptsnConfig::nn_kernel).
   set_nn_kernel(config.nn_kernel);
   set_nn_kernel_threads(config.nn_threads);
-  // Same for the TSN data-plane family (packed NBF sessions + packed
-  // simulator state) — bit-identical to the scalar reference by contract.
+  // Same for the TSN data-plane family (staged packed NBF sessions) —
+  // bit-identical to the scalar reference by contract.
   set_tsn_kernel(config.tsn_kernel);
 
   SolutionRecorder recorder;

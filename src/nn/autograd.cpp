@@ -180,22 +180,6 @@ Tensor hadamard(const Tensor& a, const Tensor& b) {
   });
 }
 
-Tensor add_row_broadcast(const Tensor& a, const Tensor& row) {
-  return Tensor::make_op(add_row_broadcast(a.value(), row.value()), {a, row}, [](Node& self) {
-    add_grad(parent(self, 0), self.grad);
-    Node& prow = parent(self, 1);
-    if (prow.requires_grad) {
-      Matrix col_sums(1, self.grad.cols());
-      for (int i = 0; i < self.grad.rows(); ++i) {
-        for (int j = 0; j < self.grad.cols(); ++j) {
-          col_sums.at(0, j) += self.grad.at(i, j);
-        }
-      }
-      add_grad(prow, col_sums);
-    }
-  });
-}
-
 Tensor relu(const Tensor& a) {
   Matrix out = a.value();
   for (int i = 0; i < out.size(); ++i) out.data()[i] = std::max(0.0, out.data()[i]);
@@ -203,19 +187,6 @@ Tensor relu(const Tensor& a) {
     Matrix delta = self.grad;
     for (int i = 0; i < delta.size(); ++i) {
       if (self.value.data()[i] <= 0.0) delta.data()[i] = 0.0;
-    }
-    add_grad(parent(self, 0), std::move(delta));
-  });
-}
-
-Tensor tanh_op(const Tensor& a) {
-  Matrix out = a.value();
-  for (int i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(out.data()[i]);
-  return Tensor::make_op(std::move(out), {a}, [](Node& self) {
-    Matrix delta = self.grad;
-    for (int i = 0; i < delta.size(); ++i) {
-      const double y = self.value.data()[i];
-      delta.data()[i] *= (1.0 - y * y);
     }
     add_grad(parent(self, 0), std::move(delta));
   });
@@ -288,13 +259,22 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
   });
 }
 
-Tensor select(const Tensor& a, int r, int c) {
-  Matrix out(1, 1, a.value().at(r, c));
-  return Tensor::make_op(std::move(out), {a}, [r, c](Node& self) {
+Tensor pick_cols(const Tensor& a, const std::vector<int>& cols) {
+  const Matrix& v = a.value();
+  NPTSN_EXPECT(static_cast<int>(cols.size()) == v.rows(), "pick_cols needs one column per row");
+  Matrix out(v.rows(), 1);
+  for (int r = 0; r < v.rows(); ++r) {
+    const int c = cols[static_cast<std::size_t>(r)];
+    NPTSN_EXPECT(c >= 0 && c < v.cols(), "pick_cols column out of range");
+    out.at(r, 0) = v.at(r, c);
+  }
+  return Tensor::make_op(std::move(out), {a}, [cols](Node& self) {
     Node& pa = parent(self, 0);
     if (!pa.requires_grad) return;
     Matrix delta(pa.value.rows(), pa.value.cols());
-    delta.at(r, c) = self.grad.at(0, 0);
+    for (int r = 0; r < delta.rows(); ++r) {
+      delta.at(r, cols[static_cast<std::size_t>(r)]) = self.grad.at(r, 0);
+    }
     add_grad(pa, std::move(delta));
   });
 }
@@ -336,61 +316,47 @@ Tensor min2(const Tensor& a, const Tensor& b) {
   });
 }
 
-Tensor average(const std::vector<Tensor>& items) {
-  NPTSN_EXPECT(!items.empty(), "average of zero tensors");
-  Matrix out = items.front().value();
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    NPTSN_EXPECT(items[i].value().same_shape(out), "average shape mismatch");
-    accumulate(out, items[i].value());
-  }
-  const double inv = 1.0 / static_cast<double>(items.size());
-  for (int i = 0; i < out.size(); ++i) out.data()[i] *= inv;
-  return Tensor::make_op(std::move(out), items, [inv](Node& self) {
-    const Matrix delta = scale(self.grad, inv);
-    for (std::size_t i = 0; i < self.parents.size(); ++i) add_grad(*self.parents[i], delta);
-  });
-}
-
-Tensor masked_log_softmax_row(const Tensor& logits, const std::vector<std::uint8_t>& mask) {
+Tensor masked_log_softmax_rows(const Tensor& logits, const Matrix& mask) {
   const Matrix& x = logits.value();
-  NPTSN_EXPECT(x.rows() == 1, "masked_log_softmax_row expects a 1 x A row");
-  NPTSN_EXPECT(static_cast<int>(mask.size()) == x.cols(), "mask size mismatch");
-
-  // Stable masked log-softmax.
-  double max_logit = -std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (int j = 0; j < x.cols(); ++j) {
-    if (mask[static_cast<std::size_t>(j)]) {
-      max_logit = std::max(max_logit, x.at(0, j));
-      any = true;
+  NPTSN_EXPECT(x.same_shape(mask), "logits/mask shape mismatch");
+  constexpr double kMaskedLogProb = -1e30;
+  Matrix out(x.rows(), x.cols());
+  for (int r = 0; r < x.rows(); ++r) {
+    // Stable masked log-softmax of row r.
+    double max_logit = -std::numeric_limits<double>::infinity();
+    bool any = false;
+    for (int j = 0; j < x.cols(); ++j) {
+      if (mask.at(r, j) != 0.0) {
+        max_logit = std::max(max_logit, x.at(r, j));
+        any = true;
+      }
+    }
+    NPTSN_EXPECT(any, "masked_log_softmax_rows: all actions masked in row " + std::to_string(r));
+    double denom = 0.0;
+    for (int j = 0; j < x.cols(); ++j) {
+      if (mask.at(r, j) != 0.0) denom += std::exp(x.at(r, j) - max_logit);
+    }
+    const double log_denom = std::log(denom) + max_logit;
+    for (int j = 0; j < x.cols(); ++j) {
+      out.at(r, j) = mask.at(r, j) != 0.0 ? x.at(r, j) - log_denom : kMaskedLogProb;
     }
   }
-  NPTSN_EXPECT(any, "all actions are masked");
-  double denom = 0.0;
-  for (int j = 0; j < x.cols(); ++j) {
-    if (mask[static_cast<std::size_t>(j)]) denom += std::exp(x.at(0, j) - max_logit);
-  }
-  const double log_denom = std::log(denom) + max_logit;
-
-  constexpr double kMaskedLogProb = -1e30;
-  Matrix out(1, x.cols());
-  for (int j = 0; j < x.cols(); ++j) {
-    out.at(0, j) = mask[static_cast<std::size_t>(j)] ? x.at(0, j) - log_denom : kMaskedLogProb;
-  }
-  const std::vector<std::uint8_t> mask_copy = mask;
+  const Matrix mask_copy = mask;
   return Tensor::make_op(std::move(out), {logits}, [mask_copy](Node& self) {
     Node& pa = parent(self, 0);
     if (!pa.requires_grad) return;
-    // d logp_j / d x_i = delta_ij - p_i (over unmasked entries).
-    double grad_sum = 0.0;
-    for (int j = 0; j < self.grad.cols(); ++j) {
-      if (mask_copy[static_cast<std::size_t>(j)]) grad_sum += self.grad.at(0, j);
-    }
-    Matrix delta(1, self.grad.cols());
-    for (int i = 0; i < delta.cols(); ++i) {
-      if (!mask_copy[static_cast<std::size_t>(i)]) continue;
-      const double p_i = std::exp(self.value.at(0, i));
-      delta.at(0, i) = self.grad.at(0, i) - p_i * grad_sum;
+    // Per row: d logp_j / d x_i = delta_ij - p_i (over unmasked entries).
+    Matrix delta(self.value.rows(), self.value.cols());
+    for (int r = 0; r < delta.rows(); ++r) {
+      double grad_sum = 0.0;
+      for (int j = 0; j < delta.cols(); ++j) {
+        if (mask_copy.at(r, j) != 0.0) grad_sum += self.grad.at(r, j);
+      }
+      for (int i = 0; i < delta.cols(); ++i) {
+        if (mask_copy.at(r, i) == 0.0) continue;
+        const double p_i = std::exp(self.value.at(r, i));
+        delta.at(r, i) = self.grad.at(r, i) - p_i * grad_sum;
+      }
     }
     add_grad(pa, std::move(delta));
   });
@@ -405,8 +371,8 @@ Tensor transpose_op(const Tensor& a) {
 namespace {
 
 // Incoming gradient gated through the fused activation's derivative,
-// evaluated at the op's OUTPUT (same gating as the standalone relu/tanh
-// ops: relu zeroes where the output is <= 0, tanh scales by 1 - y^2).
+// evaluated at the op's OUTPUT (relu zeroes where the output is <= 0, as
+// the standalone relu op does; tanh scales by 1 - y^2).
 Matrix epilogue_delta(const Matrix& grad, const Matrix& out, Epilogue act) {
   if (act == Epilogue::kNone) return grad;
   Matrix delta = grad;
@@ -504,21 +470,6 @@ Tensor mean_rows_blocks(const Tensor& a, int block_rows) {
       for (int j = 0; j < cols; ++j) drow[j] = grow[j] * inv;
     }
     add_grad(pa, std::move(delta));
-  });
-}
-
-Tensor select_row(const Tensor& a, int r) {
-  const Matrix& v = a.value();
-  NPTSN_EXPECT(r >= 0 && r < v.rows(), "select_row index out of range");
-  Matrix out(1, v.cols());
-  for (int j = 0; j < v.cols(); ++j) out.at(0, j) = v.at(r, j);
-  return Tensor::make_op(std::move(out), {a}, [r](Node& self) {
-    Node& pa = parent(self, 0);
-    if (!pa.requires_grad) return;
-    // Accumulate straight into row r — no full-size scratch matrix, so
-    // selecting all B rows of a batch costs O(B x C), not O(B^2 x C).
-    Matrix& g = pa.ensure_grad();
-    for (int j = 0; j < self.grad.cols(); ++j) g.at(r, j) += self.grad.at(0, j);
   });
 }
 

@@ -9,7 +9,6 @@
 // (validated against finite differences in tests/nn/autograd_test.cpp).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -78,26 +77,24 @@ Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, double s);
 Tensor hadamard(const Tensor& a, const Tensor& b);
-// Adds a 1 x C bias row to each row of an R x C input.
-Tensor add_row_broadcast(const Tensor& a, const Tensor& row);
 Tensor relu(const Tensor& a);
-Tensor tanh_op(const Tensor& a);
 Tensor exp_op(const Tensor& a);
 // Column-wise mean over rows: n x F -> 1 x F (GCN readout).
 Tensor mean_rows(const Tensor& a);
 Tensor sum_all(const Tensor& a);  // -> 1 x 1
 Tensor concat_cols(const Tensor& a, const Tensor& b);
-Tensor select(const Tensor& a, int r, int c);  // -> 1 x 1
+// Per-row gather: R x C -> R x 1 with row r holding a(r, cols[r]). The
+// gradient flows only into the picked entries.
+Tensor pick_cols(const Tensor& a, const std::vector<int>& cols);
 // Elementwise clamp; gradient is zero outside [lo, hi] (PPO clipping).
 Tensor clamp(const Tensor& a, double lo, double hi);
 // Elementwise min; gradient routed to the smaller input (ties: a).
 Tensor min2(const Tensor& a, const Tensor& b);
-// Elementwise mean of same-shaped tensors (loss averaging across steps).
-Tensor average(const std::vector<Tensor>& items);
-// Log-softmax over a 1 x A logit row where entries with mask[i] == 0 are
-// excluded (treated as -inf; they get probability 0 and zero gradient).
-// At least one entry must be unmasked.
-Tensor masked_log_softmax_row(const Tensor& logits, const std::vector<std::uint8_t>& mask);
+// Row-wise log-softmax over a B x A logit matrix where entries with
+// mask.at(r, j) == 0 are excluded (treated as -inf; they get probability 0
+// and zero gradient). Every row needs at least one unmasked entry. The PPO
+// actor loss runs it over the whole batch's logits.
+Tensor masked_log_softmax_rows(const Tensor& logits, const Matrix& mask);
 Tensor transpose_op(const Tensor& a);
 
 // --- fused / batched operations (the NN hot path, DESIGN.md §11) -------------
@@ -118,10 +115,6 @@ Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
 // Per-block column means: (B*block_rows) x F -> B x F (batched GCN readout,
 // same arithmetic per block as mean_rows).
 Tensor mean_rows_blocks(const Tensor& a, int block_rows);
-// Row r as a 1 x C tensor. The gradient accumulates directly into row r of
-// the parent (no full-size scratch), so selecting every row of a batch
-// stays O(rows x cols) total.
-Tensor select_row(const Tensor& a, int r);
 // Stacks B 1 x C rows into a B x C tensor (the GAT encoder's per-graph
 // readouts).
 Tensor stack_rows(const std::vector<Tensor>& rows);

@@ -216,15 +216,6 @@ Matrix hadamard(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix add_row_broadcast(const Matrix& a, const Matrix& row) {
-  NPTSN_EXPECT(row.rows() == 1 && row.cols() == a.cols(), "broadcast shape mismatch");
-  Matrix out = a;
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < a.cols(); ++j) out.at(i, j) += row.at(0, j);
-  }
-  return out;
-}
-
 void accumulate(Matrix& a, const Matrix& b) {
   NPTSN_EXPECT(a.same_shape(b), "accumulate shape mismatch");
   for (int i = 0; i < a.size(); ++i) a.data()[i] += b.data()[i];

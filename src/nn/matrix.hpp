@@ -168,8 +168,6 @@ Matrix add(const Matrix& a, const Matrix& b);
 Matrix sub(const Matrix& a, const Matrix& b);
 Matrix scale(const Matrix& a, double s);
 Matrix hadamard(const Matrix& a, const Matrix& b);
-// Adds a 1 x C row vector to every row of an R x C matrix.
-Matrix add_row_broadcast(const Matrix& a, const Matrix& row);
 // Accumulates b into a (in place), shapes must match.
 void accumulate(Matrix& a, const Matrix& b);
 

@@ -1,5 +1,5 @@
 // Masked categorical action distribution (plain-Matrix side; the
-// differentiable counterpart is nn/autograd.hpp's masked_log_softmax_row).
+// differentiable counterpart is nn/autograd.hpp's masked_log_softmax_rows).
 #pragma once
 
 #include <cstdint>

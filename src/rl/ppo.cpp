@@ -1,5 +1,6 @@
 #include "rl/ppo.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "rl/health.hpp"
@@ -8,80 +9,82 @@
 namespace nptsn {
 namespace {
 
-// Builds the clipped-surrogate actor loss (negated objective) and returns it
-// together with the mean approximate KL of the update so far.
-struct ActorLoss {
-  Tensor loss;
-  double approx_kl = 0.0;
-};
-
-// Observation pointers for the batched head forwards (one stacked GEMM per
-// network layer instead of one forward per step).
-std::vector<const Observation*> batch_observations(const Batch& batch) {
-  std::vector<const Observation*> obs;
-  obs.reserve(batch.steps.size());
-  for (const StepRecord& s : batch.steps) obs.push_back(&s.obs);
-  return obs;
-}
-
-ActorLoss actor_loss(const ActorCritic& net, const ActorCritic::ObservationBatch& staged,
-                     const Batch& batch, double clip_ratio) {
-  const Tensor all_logits = net.forward_logits_batch(staged);
-  std::vector<Tensor> objectives;
-  objectives.reserve(batch.steps.size());
-  double kl_sum = 0.0;
-  for (std::size_t i = 0; i < batch.steps.size(); ++i) {
-    const StepRecord& s = batch.steps[i];
-    const Tensor logits = select_row(all_logits, static_cast<int>(i));
-    const Tensor log_probs = masked_log_softmax_row(logits, s.mask);
-    const Tensor logp = select(log_probs, 0, s.action);
-
-    // ratio = pi(a|s) / pi_old(a|s)
-    const Tensor ratio = exp_op(sub(logp, Tensor::constant(Matrix(1, 1, s.log_prob))));
-    const double adv = batch.advantages[i];
-    const Tensor unclipped = scale(ratio, adv);
-    const Tensor clipped = scale(clamp(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio), adv);
-    objectives.push_back(min2(unclipped, clipped));
-
-    kl_sum += s.log_prob - logp.item();
-  }
-  ActorLoss result;
-  result.loss = scale(average(objectives), -1.0);  // gradient ASCENT on the objective
-  result.approx_kl = kl_sum / static_cast<double>(batch.steps.size());
-  return result;
-}
-
-Tensor critic_loss(const ActorCritic& net, const ActorCritic::ObservationBatch& staged,
-                   const Batch& batch) {
-  const Tensor all_values = net.forward_value_batch(staged);
-  std::vector<Tensor> losses;
-  losses.reserve(batch.steps.size());
-  for (std::size_t i = 0; i < batch.steps.size(); ++i) {
-    const Tensor value = select_row(all_values, static_cast<int>(i));
-    const Tensor err = sub(value, Tensor::constant(Matrix(1, 1, batch.returns[i])));
-    losses.push_back(hadamard(err, err));
-  }
-  return average(losses);
+// A B x 1 constant column.
+Tensor column(const std::vector<double>& values) {
+  Matrix m = Matrix::uninitialized(static_cast<int>(values.size()), 1);
+  std::copy(values.begin(), values.end(), m.data());
+  return Tensor::constant(std::move(m));
 }
 
 }  // namespace
 
-PpoStats ppo_update(const ActorCritic& net, Adam& actor_opt, Adam& critic_opt,
-                    const Batch& batch, const PpoConfig& config) {
+PpoBatch stage_ppo_batch(const ActorCritic& net, const Batch& batch) {
   NPTSN_EXPECT(!batch.steps.empty(), "cannot update from an empty batch");
   NPTSN_EXPECT(batch.advantages.size() == batch.steps.size() &&
                    batch.returns.size() == batch.steps.size(),
                "batch arity mismatch");
+  const int rows = static_cast<int>(batch.steps.size());
+  const int actions = net.config().num_actions;
+  PpoBatch staged;
+  std::vector<const Observation*> obs;
+  obs.reserve(batch.steps.size());
+  staged.mask = Matrix(rows, actions);
+  staged.actions.reserve(batch.steps.size());
+  std::vector<double> old_logp;
+  old_logp.reserve(batch.steps.size());
+  for (int i = 0; i < rows; ++i) {
+    const StepRecord& s = batch.steps[static_cast<std::size_t>(i)];
+    NPTSN_EXPECT(static_cast<int>(s.mask.size()) == actions, "mask size mismatch");
+    obs.push_back(&s.obs);
+    for (int j = 0; j < actions; ++j) {
+      staged.mask.at(i, j) = s.mask[static_cast<std::size_t>(j)] ? 1.0 : 0.0;
+    }
+    staged.actions.push_back(s.action);
+    old_logp.push_back(s.log_prob);
+  }
+  staged.observations = net.stage_batch(obs);
+  staged.old_logp = column(old_logp);
+  staged.advantages = column(batch.advantages);
+  staged.returns = column(batch.returns);
+  return staged;
+}
+
+ActorLoss ppo_actor_loss(const ActorCritic& net, const PpoBatch& batch, double clip_ratio) {
+  const Tensor log_probs =
+      masked_log_softmax_rows(net.forward_logits_batch(batch.observations), batch.mask);
+  const Tensor logp = pick_cols(log_probs, batch.actions);
+  // ratio = pi(a|s) / pi_old(a|s)
+  const Tensor ratio = exp_op(sub(logp, batch.old_logp));
+  const Tensor unclipped = hadamard(ratio, batch.advantages);
+  const Tensor clipped =
+      hadamard(clamp(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio), batch.advantages);
+  ActorLoss result;
+  // Gradient ASCENT on the objective.
+  result.loss = scale(mean_rows(min2(unclipped, clipped)), -1.0);
+  double kl_sum = 0.0;
+  for (int i = 0; i < logp.rows(); ++i) {
+    kl_sum += batch.old_logp.value().at(i, 0) - logp.value().at(i, 0);
+  }
+  result.approx_kl = kl_sum / static_cast<double>(logp.rows());
+  return result;
+}
+
+Tensor ppo_critic_loss(const ActorCritic& net, const PpoBatch& batch) {
+  const Tensor err = sub(net.forward_value_batch(batch.observations), batch.returns);
+  return mean_rows(hadamard(err, err));
+}
+
+PpoStats ppo_update(const ActorCritic& net, Adam& actor_opt, Adam& critic_opt,
+                    const Batch& batch, const PpoConfig& config) {
   PpoStats stats;
 
-  // Stage the batch once for the whole update: the stacked features/params
-  // and the adjacency CSR index are weight-independent, so every actor and
-  // critic iteration below reuses the same staged constants.
-  const std::vector<const Observation*> obs = batch_observations(batch);
-  const ActorCritic::ObservationBatch staged = net.stage_batch(obs);
+  // Stage the batch once for the whole update: the stacked features/params,
+  // the adjacency CSR index and the per-step data are weight-independent, so
+  // every actor and critic iteration below reuses the same staged constants.
+  const PpoBatch staged = stage_ppo_batch(net, batch);
 
   for (int iter = 0; iter < config.train_actor_iters; ++iter) {
-    ActorLoss al = actor_loss(net, staged, batch, config.clip_ratio);
+    ActorLoss al = ppo_actor_loss(net, staged, config.clip_ratio);
     if (iter == 0) stats.actor_loss = al.loss.item();
     stats.approx_kl = al.approx_kl;
     if (config.check_numerics &&
@@ -101,7 +104,7 @@ PpoStats ppo_update(const ActorCritic& net, Adam& actor_opt, Adam& critic_opt,
   }
 
   for (int iter = 0; iter < config.train_critic_iters; ++iter) {
-    Tensor loss = critic_loss(net, staged, batch);
+    Tensor loss = ppo_critic_loss(net, staged);
     if (iter == 0) stats.critic_loss = loss.item();
     if (config.check_numerics && !std::isfinite(loss.item())) {
       throw NumericAnomalyError(Anomaly{AnomalyCode::kNonFiniteLoss, -1, -1,

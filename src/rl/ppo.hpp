@@ -32,6 +32,32 @@ struct PpoStats {
   int actor_iters_run = 0;
 };
 
+// One update's inputs, staged once and reused by every actor and critic
+// iteration: the batched observations and the per-step data as whole-batch
+// constants. It points into the Batch it was staged from, which must
+// outlive it.
+struct PpoBatch {
+  ActorCritic::ObservationBatch observations;
+  Matrix mask;               // B x A, 1 where the action was legal
+  std::vector<int> actions;  // B, the action taken at each step
+  Tensor old_logp;           // B x 1, behavior-policy log pi(a|s)
+  Tensor advantages;         // B x 1
+  Tensor returns;            // B x 1, the critic's targets
+};
+PpoBatch stage_ppo_batch(const ActorCritic& net, const Batch& batch);
+
+// The clipped-surrogate actor loss, negated so that minimizing it ascends
+// the objective, and the mean approximate KL between the behavior policy and
+// the current one. Built as one expression over the whole batch: its tape
+// holds the same number of nodes whatever the batch size.
+struct ActorLoss {
+  Tensor loss;
+  double approx_kl = 0.0;
+};
+ActorLoss ppo_actor_loss(const ActorCritic& net, const PpoBatch& batch, double clip_ratio);
+// Mean squared error of the value head against the returns.
+Tensor ppo_critic_loss(const ActorCritic& net, const PpoBatch& batch);
+
 // One full PPO update over the batch. actor_opt must own the network's
 // actor_parameters() and critic_opt its critic_parameters(); the shared GCN
 // weights belong to both and are therefore updated twice.

@@ -1,5 +1,5 @@
-// SWAR kernel family for the packed TSN fast path (simulator, slot tables,
-// packed NBF sessions), following the src/nn/kernels pattern: every kernel
+// SWAR kernel family for the packed TSN fast path (the staged packed NBF
+// sessions and their slot-occupancy folds), following the src/nn/kernels pattern: every kernel
 // ships as a `_reference` / `_fast` pair with identical semantics. The
 // reference member is the bit-frozen scalar ground truth; the fast member is
 // the word-parallel production implementation. All decisions these kernels
@@ -7,10 +7,11 @@
 // platform — selecting a kernel never changes a verdict, a schedule, or a
 // cache key (unlike the nn kernels, no float-summation caveat applies).
 //
-// The global TsnKernel selector mirrors set_nn_kernel(): it picks which
-// member the packed call sites dispatch to, and whether staged packed NBF
-// sessions are used at all (kReference keeps the scalar std::map code paths
-// as ground truth).
+// The global TsnKernel selector mirrors set_nn_kernel(), but selects only
+// whether staged packed NBF sessions are used at all: kFast hands them out,
+// kReference keeps the scalar std::map recovery as ground truth. The packed
+// sessions always call the `_fast` members; the `_reference` members are
+// reached only by the differential tests.
 #pragma once
 
 #include <cstdint>

@@ -44,6 +44,12 @@ void check_gradient(const Matrix& point,
   }
 }
 
+// A scalar that weighs every output entry differently, so every entry's
+// gradient is exercised.
+Tensor weighted_sum(const Tensor& t, const Matrix& weights) {
+  return sum_all(hadamard(t, Tensor::constant(weights)));
+}
+
 TEST(Autograd, TensorBasics) {
   Tensor t = Tensor::constant(Matrix::from({{1.0, 2.0}}));
   EXPECT_TRUE(t.defined());
@@ -129,18 +135,6 @@ TEST(AutogradGradCheck, AddSubScaleHadamard) {
   });
 }
 
-TEST(AutogradGradCheck, RowBroadcastBias) {
-  Rng rng(3);
-  const Matrix a = random_matrix(3, 2, rng);
-  const Matrix bias = random_matrix(1, 2, rng);
-  check_gradient(bias, [&](const Tensor& x) {
-    return sum_all(add_row_broadcast(Tensor::constant(a), x));
-  });
-  check_gradient(a, [&](const Tensor& x) {
-    return sum_all(add_row_broadcast(x, Tensor::constant(bias)));
-  });
-}
-
 TEST(AutogradGradCheck, Relu) {
   // Stay away from the kink at 0 for finite differences.
   const Matrix a = Matrix::from({{0.5, -0.7, 1.2, -0.1}});
@@ -150,25 +144,59 @@ TEST(AutogradGradCheck, Relu) {
 TEST(AutogradGradCheck, TanhExp) {
   Rng rng(4);
   const Matrix a = random_matrix(2, 2, rng);
-  check_gradient(a, [](const Tensor& x) { return sum_all(tanh_op(x)); });
+  // tanh exists only as the fused affine epilogue; an identity weight and a
+  // zero bias isolate its elementwise derivative.
+  const Matrix identity = Matrix::from({{1.0, 0.0}, {0.0, 1.0}});
+  check_gradient(a, [&](const Tensor& x) {
+    return sum_all(affine_act(x, Tensor::constant(identity), Tensor::constant(Matrix(1, 2)),
+                              Epilogue::kTanh));
+  });
   check_gradient(a, [](const Tensor& x) { return sum_all(exp_op(x)); }, 1e-5);
 }
 
 TEST(AutogradGradCheck, MeanRowsAndSelect) {
   Rng rng(5);
   const Matrix a = random_matrix(4, 3, rng);
-  check_gradient(a, [](const Tensor& x) { return select(mean_rows(x), 0, 1); });
+  check_gradient(a, [](const Tensor& x) { return sum_all(pick_cols(mean_rows(x), {1})); });
+}
+
+TEST(AutogradGradCheck, PickCols) {
+  Rng rng(15);
+  const Matrix a = random_matrix(4, 3, rng);
+  const Matrix weights = random_matrix(4, 1, rng);
+  // Every column is picked by some row and row 3 repeats row 0's column.
+  check_gradient(a, [&](const Tensor& x) {
+    return weighted_sum(pick_cols(x, {2, 0, 1, 2}), weights);
+  });
+  // A one-column input: every row picks its only entry.
+  const Matrix single = random_matrix(3, 1, rng);
+  check_gradient(single, [&](const Tensor& x) {
+    return weighted_sum(pick_cols(x, {0, 0, 0}), Matrix::from({{0.5}, {-1.5}, {2.0}}));
+  });
+}
+
+TEST(Autograd, PickColsValuesAndChecks) {
+  const Tensor a = Tensor::constant(Matrix::from({{1.0, 2.0}, {3.0, 4.0}}));
+  const Tensor picked = pick_cols(a, {1, 0});
+  EXPECT_EQ(picked.rows(), 2);
+  EXPECT_EQ(picked.cols(), 1);
+  EXPECT_DOUBLE_EQ(picked.value().at(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(picked.value().at(1, 0), 3.0);
+  EXPECT_THROW(pick_cols(a, {0}), std::invalid_argument);
+  EXPECT_THROW(pick_cols(a, {0, 2}), std::invalid_argument);
+  EXPECT_THROW(pick_cols(a, {-1, 0}), std::invalid_argument);
 }
 
 TEST(AutogradGradCheck, ConcatCols) {
   Rng rng(6);
   const Matrix a = random_matrix(2, 3, rng);
   const Matrix b = random_matrix(2, 2, rng);
+  const Matrix weights = random_matrix(2, 5, rng);
   check_gradient(a, [&](const Tensor& x) {
-    return sum_all(tanh_op(concat_cols(x, Tensor::constant(b))));
+    return weighted_sum(concat_cols(x, Tensor::constant(b)), weights);
   });
   check_gradient(b, [&](const Tensor& x) {
-    return sum_all(tanh_op(concat_cols(Tensor::constant(a), x)));
+    return weighted_sum(concat_cols(Tensor::constant(a), x), weights);
   });
 }
 
@@ -190,56 +218,74 @@ TEST(AutogradGradCheck, Min2RoutesGradient) {
   });
 }
 
-TEST(AutogradGradCheck, Average) {
-  Rng rng(7);
-  const Matrix a = random_matrix(1, 3, rng);
-  check_gradient(a, [](const Tensor& x) {
-    // average of {x, 2x}: gradient 1.5 per entry.
-    return sum_all(average({x, scale(x, 2.0)}));
-  });
-}
-
 TEST(AutogradGradCheck, MaskedLogSoftmax) {
   Rng rng(8);
-  const Matrix logits = random_matrix(1, 5, rng);
-  const std::vector<std::uint8_t> mask = {1, 0, 1, 1, 0};
-  // Check the gradient of one selected unmasked log-prob.
+  const Matrix logits = random_matrix(3, 5, rng);
+  // Row 0 masks two entries, row 1 leaves a single legal action (its
+  // log-prob is constant 0, so its gradient must be exactly zero), row 2
+  // masks nothing.
+  const Matrix mask = Matrix::from({{1.0, 0.0, 1.0, 1.0, 0.0},
+                                    {0.0, 0.0, 0.0, 1.0, 0.0},
+                                    {1.0, 1.0, 1.0, 1.0, 1.0}});
+  // Masked outputs are the constant -1e30; zero weights keep them out of the
+  // finite difference.
+  Matrix weights = random_matrix(3, 5, rng);
+  for (int i = 0; i < weights.size(); ++i) {
+    if (mask.data()[i] == 0.0) weights.data()[i] = 0.0;
+  }
   check_gradient(logits, [&](const Tensor& x) {
-    return select(masked_log_softmax_row(x, mask), 0, 2);
+    return weighted_sum(masked_log_softmax_rows(x, mask), weights);
   });
+  // Through the PPO gather: one picked log-prob per row.
+  check_gradient(logits, [&](const Tensor& x) {
+    return weighted_sum(pick_cols(masked_log_softmax_rows(x, mask), {2, 3, 0}),
+                        Matrix::from({{1.0}, {-2.0}, {0.5}}));
+  });
+
+  Tensor x = Tensor::parameter(logits);
+  weighted_sum(masked_log_softmax_rows(x, mask), weights).backward();
+  for (int i = 0; i < logits.size(); ++i) {
+    if (mask.data()[i] == 0.0) {
+      EXPECT_EQ(x.grad().data()[i], 0.0) << "masked entry " << i;
+    }
+  }
+  for (int j = 0; j < logits.cols(); ++j) EXPECT_EQ(x.grad().at(1, j), 0.0);
 }
 
 TEST(Autograd, MaskedLogSoftmaxValues) {
-  const Tensor logits = Tensor::constant(Matrix::from({{1.0, 100.0, 1.0}}));
-  const std::vector<std::uint8_t> mask = {1, 0, 1};
-  const Tensor logp = masked_log_softmax_row(logits, mask);
+  const Tensor logits = Tensor::constant(Matrix::from({{1.0, 100.0, 1.0}, {2.0, 5.0, 7.0}}));
+  const Matrix mask = Matrix::from({{1.0, 0.0, 1.0}, {0.0, 1.0, 0.0}});
+  const Tensor logp = masked_log_softmax_rows(logits, mask);
   // Masked entry ignored: the two unmasked logits are equal -> log(1/2).
   EXPECT_NEAR(logp.value().at(0, 0), std::log(0.5), 1e-12);
   EXPECT_NEAR(logp.value().at(0, 2), std::log(0.5), 1e-12);
   EXPECT_LT(logp.value().at(0, 1), -1e20);  // effectively -inf
+  // A single legal action has probability one.
+  EXPECT_EQ(logp.value().at(1, 1), 0.0);
+  EXPECT_LT(logp.value().at(1, 0), -1e20);
+  EXPECT_LT(logp.value().at(1, 2), -1e20);
 }
 
 TEST(Autograd, MaskedLogSoftmaxNumericallyStable) {
   const Tensor logits = Tensor::constant(Matrix::from({{1000.0, 999.0}}));
-  const std::vector<std::uint8_t> mask = {1, 1};
-  const Tensor logp = masked_log_softmax_row(logits, mask);
+  const Tensor logp = masked_log_softmax_rows(logits, Matrix(1, 2, 1.0));
   EXPECT_TRUE(std::isfinite(logp.value().at(0, 0)));
   EXPECT_NEAR(std::exp(logp.value().at(0, 0)) + std::exp(logp.value().at(0, 1)), 1.0,
               1e-9);
 }
 
 TEST(Autograd, MaskedLogSoftmaxAllMaskedThrows) {
-  const Tensor logits = Tensor::constant(Matrix(1, 3));
-  EXPECT_THROW(masked_log_softmax_row(logits, {0, 0, 0}), std::invalid_argument);
-  EXPECT_THROW(masked_log_softmax_row(logits, {1, 1}), std::invalid_argument);
+  const Tensor logits = Tensor::constant(Matrix(2, 3));
+  const Matrix empty_row = Matrix::from({{1.0, 0.0, 0.0}, {0.0, 0.0, 0.0}});
+  EXPECT_THROW(masked_log_softmax_rows(logits, empty_row), std::invalid_argument);
+  EXPECT_THROW(masked_log_softmax_rows(logits, Matrix(2, 2, 1.0)), std::invalid_argument);
 }
 
 TEST(AutogradGradCheck, Transpose) {
   Rng rng(9);
   const Matrix a = random_matrix(2, 4, rng);
-  check_gradient(a, [](const Tensor& x) {
-    return sum_all(tanh_op(transpose_op(x)));
-  });
+  const Matrix weights = random_matrix(4, 2, rng);
+  check_gradient(a, [&](const Tensor& x) { return weighted_sum(transpose_op(x), weights); });
 }
 
 TEST(AutogradGradCheck, LeakyRelu) {
@@ -304,12 +350,6 @@ class KernelFamilyGuard {
 };
 
 constexpr NnKernel kFamilies[] = {NnKernel::kReference, NnKernel::kFast};
-
-// A scalar that weighs every output entry differently, so every entry's
-// gradient is exercised.
-Tensor weighted_sum(const Tensor& t, const Matrix& weights) {
-  return sum_all(hadamard(t, Tensor::constant(weights)));
-}
 
 std::shared_ptr<const BlockAdjacency> asymmetric_blocks(int count, int n, Rng& rng) {
   std::vector<Matrix> blocks;

@@ -24,6 +24,7 @@
 #include "service/crash_point.hpp"
 #include "service/journal.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 #include "util/checkpoint.hpp"
 #include "util/rng.hpp"
@@ -32,17 +33,8 @@ namespace nptsn {
 namespace {
 
 using nptsn::testing::corrupt_file_byte;
+using nptsn::testing::fresh_temp_dir;
 using nptsn::testing::tiny_problem;
-
-// The pid keeps the journals of two concurrent runs of this suite (two build
-// trees, or a sanitizer build beside the normal one) from deleting each other.
-std::string fresh_dir(const std::string& name) {
-  const std::string dir =
-      ::testing::TempDir() + "nptsn_chaos_" + std::to_string(::getpid()) + "_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 struct RunResult {
   bool exited = false;   // normal exit (vs killed by a signal)
@@ -188,7 +180,7 @@ TEST(ChaosKill, RandomizedCrashPointsLoseNoAcknowledgedRequest) {
   int kills = 0;
 
   for (int iter = 0; iter < iterations; ++iter) {
-    const std::string dir = fresh_dir("points_" + std::to_string(iter));
+    const std::string dir = fresh_temp_dir("chaos_points_" + std::to_string(iter), /*create=*/true);
     const std::string point =
         points[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(points.size()) - 1))];
     const int at_hit = rng.uniform_int(1, 3);
@@ -221,7 +213,7 @@ TEST(ChaosKill, RandomizedCrashPointsLoseNoAcknowledgedRequest) {
 }
 
 TEST(ChaosKill, ExternalSigkillMidBurstRecoversEveryRequest) {
-  const std::string dir = fresh_dir("midburst");
+  const std::string dir = fresh_temp_dir("chaos_midburst", /*create=*/true);
   // A burst big enough that an external kill lands mid-run.
   const std::vector<std::string> args = {"--journal", dir,          "--epochs",
                                          "4",         "--steps",    "64",
@@ -258,7 +250,7 @@ TEST(ChaosKill, EnvironmentalFaultsNeverKillTheDaemon) {
       "journal.*:ENOSPC@3x-1",              // disk fills anywhere: degrade
   };
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    const std::string dir = fresh_dir("iofault_" + std::to_string(i));
+    const std::string dir = fresh_temp_dir("chaos_iofault_" + std::to_string(i), /*create=*/true);
     SCOPED_TRACE(faults[i]);
 
     const RunResult faulted = run_serve(serve_args(dir), "", 0, SIGKILL, faults[i]);
@@ -289,7 +281,7 @@ TEST(ChaosKill, EnvironmentalFaultsNeverKillTheDaemon) {
 // shard health, fault counters, journal segments — without disturbing the
 // burst in flight.
 TEST(ChaosKill, SigUsr1DumpsStatsWithoutDisruption) {
-  const std::string dir = fresh_dir("sigusr1");
+  const std::string dir = fresh_temp_dir("chaos_sigusr1", /*create=*/true);
   const std::vector<std::string> args = {"--journal", dir,          "--epochs",
                                          "4",         "--steps",    "64",
                                          "--seed",    "7",          "gen:11:4:2",
@@ -315,7 +307,7 @@ TEST(ChaosKill, SigUsr1DumpsStatsWithoutDisruption) {
 // the launcher, stays pending until the daemon's handlers are installed, and
 // then dumps the stats like any other.
 TEST(ChaosKill, SigUsr1AtSpawnIsDeliveredAfterStartup) {
-  const std::string dir = fresh_dir("sigusr1_at_spawn");
+  const std::string dir = fresh_temp_dir("chaos_sigusr1_at_spawn", /*create=*/true);
   const std::vector<std::string> args = {"--journal", dir,          "--epochs",
                                          "4",         "--steps",    "64",
                                          "--seed",    "7",          "gen:11:4:2",
@@ -339,7 +331,7 @@ TEST(ChaosKill, SigUsr1AtSpawnIsDeliveredAfterStartup) {
 // one corrupt pending file is skipped with a warning, the rest of the
 // backlog still runs.
 TEST(ChaosKill, PendingDirSkipsCorruptFilesAndRunsTheRest) {
-  const std::string dir = fresh_dir("pending");
+  const std::string dir = fresh_temp_dir("chaos_pending", /*create=*/true);
   const auto write_pending = [&](const std::string& id) {
     PlanningRequest request;
     request.id = id;

@@ -20,19 +20,15 @@
 #include "service/crash_point.hpp"
 #include "service/journal.hpp"
 #include "service/service.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 #include "util/io.hpp"
 
 namespace nptsn {
 namespace {
 
+using nptsn::testing::fresh_temp_dir;
 using nptsn::testing::tiny_problem;
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "nptsn_degraded_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 // Every test leaves the process-global fault machinery clean, pass or fail.
 class DegradedMode : public ::testing::Test {
@@ -83,7 +79,7 @@ PlanningResponse done_response(const std::string& id) {
 // --- journal-level -----------------------------------------------------------
 
 TEST_F(DegradedMode, PersistentFaultDegradesAndShedsUnacknowledged) {
-  const std::string dir = fresh_dir("persistent");
+  const std::string dir = fresh_temp_dir("degraded_persistent");
   RequestJournal journal(fast_journal(dir));
   io::arm_io_fault({"journal.append.fsync", ENOSPC, 1, /*count=*/-1});
 
@@ -113,7 +109,7 @@ TEST_F(DegradedMode, PersistentFaultDegradesAndShedsUnacknowledged) {
 }
 
 TEST_F(DegradedMode, TransientFaultRetriesThenLandsTheRecordWhole) {
-  const std::string dir = fresh_dir("transient");
+  const std::string dir = fresh_temp_dir("degraded_transient");
   RequestJournal journal(fast_journal(dir));
   // Two EIO hiccups on the durability barrier, then the storm passes.
   io::arm_io_fault({"journal.append.fsync", EIO, 1, /*count=*/2});
@@ -132,7 +128,7 @@ TEST_F(DegradedMode, TransientFaultRetriesThenLandsTheRecordWhole) {
 }
 
 TEST_F(DegradedMode, ExhaustedTransientRetryBudgetDegrades) {
-  const std::string dir = fresh_dir("exhausted");
+  const std::string dir = fresh_temp_dir("degraded_exhausted");
   RequestJournal::Config config = fast_journal(dir);
   config.io_retry_attempts = 2;
   RequestJournal journal(config);
@@ -146,7 +142,7 @@ TEST_F(DegradedMode, ExhaustedTransientRetryBudgetDegrades) {
 }
 
 TEST_F(DegradedMode, EintrStormIsAbsorbedWithoutRetryAccounting) {
-  const std::string dir = fresh_dir("eintr");
+  const std::string dir = fresh_temp_dir("degraded_eintr");
   RequestJournal journal(fast_journal(dir));
   io::arm_io_fault({"journal.append.write", EINTR, 1, /*count=*/16});
 
@@ -161,7 +157,7 @@ TEST_F(DegradedMode, EintrStormIsAbsorbedWithoutRetryAccounting) {
 }
 
 TEST_F(DegradedMode, ShortWritesAreLoopedOverAndTheJournalScansClean) {
-  const std::string dir = fresh_dir("short");
+  const std::string dir = fresh_temp_dir("degraded_short");
   const PlanningRequest request = request_named("a");
   {
     RequestJournal journal(fast_journal(dir));
@@ -184,7 +180,7 @@ TEST_F(DegradedMode, ShortWritesAreLoopedOverAndTheJournalScansClean) {
 }
 
 TEST_F(DegradedMode, DegradedTerminalIsReconciledOnRearmAndReplaysAfterRestart) {
-  const std::string dir = fresh_dir("reconcile");
+  const std::string dir = fresh_temp_dir("degraded_reconcile");
   const PlanningRequest request = request_named("a");
   {
     RequestJournal journal(fast_journal(dir));
@@ -219,7 +215,7 @@ TEST_F(DegradedMode, DegradedTerminalIsReconciledOnRearmAndReplaysAfterRestart) 
 }
 
 TEST_F(DegradedMode, FailedProbeKeepsTheJournalDegraded) {
-  const std::string dir = fresh_dir("probe");
+  const std::string dir = fresh_temp_dir("degraded_probe");
   RequestJournal journal(fast_journal(dir));
   io::arm_io_fault({"journal.append.fsync", ENOSPC, 1, /*count=*/-1});
   const PlanningRequest request = request_named("a");
@@ -241,7 +237,7 @@ TEST_F(DegradedMode, FailedProbeKeepsTheJournalDegraded) {
 // be scanned as a segment, the pre-compaction segments must stay intact, and
 // a restart over the overlapping state must merge to one entry per request.
 TEST_F(DegradedMode, EnospcMidCompactionLeavesAMergeConsistentJournal) {
-  const std::string dir = fresh_dir("compact");
+  const std::string dir = fresh_temp_dir("degraded_compact");
   RequestJournal::Config config = fast_journal(dir);
   config.compact_min_delivered = 1;  // compact eagerly
   {
@@ -299,7 +295,7 @@ TEST_F(DegradedMode, SiteByErrnoSoakNeverAbortsAndNeverLosesAcknowledgedWork) {
       const int at_hit = 1 + static_cast<int>(seed >> 61);  // 1..8
       const std::string tag = site + ":" + std::to_string(error);
       const std::string dir =
-          fresh_dir("soak_" + std::to_string(combos++));
+          fresh_temp_dir("degraded_soak_" + std::to_string(combos++));
 
       RequestJournal::Config config = fast_journal(dir);
       config.compact_min_delivered = 1;  // exercise the compact sites too
@@ -400,7 +396,7 @@ bool wait_until_durable(const PlannerService& service, double timeout_seconds) {
 }
 
 TEST_F(DegradedMode, ServiceShedsWhileDegradedAndHealsThroughTheProbe) {
-  const std::string dir = fresh_dir("svc_shed");
+  const std::string dir = fresh_temp_dir("degraded_svc_shed");
   PlannerService service(small_service(dir));
 
   const PlanningResponse healthy = service.submit(tiny_request("before")).get();
@@ -440,7 +436,7 @@ TEST_F(DegradedMode, ServiceShedsWhileDegradedAndHealsThroughTheProbe) {
 }
 
 TEST_F(DegradedMode, InFlightAnswerIsDeliveredNonDurableThenReplaysAfterHeal) {
-  const std::string dir = fresh_dir("svc_nondurable");
+  const std::string dir = fresh_temp_dir("degraded_svc_nondurable");
   PlanningResponse first;
   {
     PlannerService service(small_service(dir));

@@ -15,18 +15,14 @@
 #include "net/problem.hpp"
 #include "service/crash_point.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/temp_dir.hpp"
 
 namespace nptsn {
 namespace {
 
 using nptsn::testing::corrupt_file_byte;
+using nptsn::testing::fresh_temp_dir;
 using nptsn::testing::truncate_file;
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "nptsn_journal_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 PlanningRequest request_named(const std::string& id, std::size_t payload = 16) {
   PlanningRequest request;
@@ -59,7 +55,7 @@ PlanningResponse done_response(const std::string& id) {
 }
 
 TEST(RequestJournal, AppendedRecordsScanBackInOrder) {
-  const std::string dir = fresh_dir("roundtrip");
+  const std::string dir = fresh_temp_dir("journal_roundtrip");
   const PlanningRequest request = request_named("a");
   {
     RequestJournal journal({dir});
@@ -92,7 +88,7 @@ TEST(RequestJournal, AppendedRecordsScanBackInOrder) {
 }
 
 TEST(RequestJournal, MissingDirectoryScansEmptyAndIsCreatedOnOpen) {
-  const std::string dir = fresh_dir("fresh");
+  const std::string dir = fresh_temp_dir("journal_fresh");
   EXPECT_TRUE(scan_journal(dir).records.empty());
   RequestJournal journal({dir});
   EXPECT_TRUE(std::filesystem::is_directory(dir));
@@ -102,7 +98,7 @@ TEST(RequestJournal, MissingDirectoryScansEmptyAndIsCreatedOnOpen) {
 }
 
 TEST(RequestJournal, RecoveryMergesLiveAndTerminalStatePerRequest) {
-  const std::string dir = fresh_dir("merge");
+  const std::string dir = fresh_temp_dir("journal_merge");
   const PlanningRequest live = request_named("live");
   const PlanningRequest finished = request_named("done");
   {
@@ -135,7 +131,7 @@ TEST(RequestJournal, RecoveryMergesLiveAndTerminalStatePerRequest) {
 }
 
 TEST(RequestJournal, TornTailIsDroppedWithWarningNeverARefusal) {
-  const std::string dir = fresh_dir("torn");
+  const std::string dir = fresh_temp_dir("journal_torn");
   const PlanningRequest a = request_named("a");
   const PlanningRequest b = request_named("b", 64);
   {
@@ -162,7 +158,7 @@ TEST(RequestJournal, TornTailIsDroppedWithWarningNeverARefusal) {
 }
 
 TEST(RequestJournal, BitFlippedRecordDropsRestOfSegmentWithWarning) {
-  const std::string dir = fresh_dir("bitflip");
+  const std::string dir = fresh_temp_dir("journal_bitflip");
   const PlanningRequest a = request_named("a");
   {
     RequestJournal journal({dir});
@@ -185,7 +181,7 @@ TEST(RequestJournal, BitFlippedRecordDropsRestOfSegmentWithWarning) {
 }
 
 TEST(RequestJournal, OverloadedShedIsNeverResurrected) {
-  const std::string dir = fresh_dir("overload");
+  const std::string dir = fresh_temp_dir("journal_overload");
   const PlanningRequest shed = request_named("shed");
   {
     RequestJournal journal({dir});
@@ -201,7 +197,7 @@ TEST(RequestJournal, OverloadedShedIsNeverResurrected) {
 }
 
 TEST(RequestJournal, CompactionDropsDeliveredHistoryAndKeepsLiveState) {
-  const std::string dir = fresh_dir("compact");
+  const std::string dir = fresh_temp_dir("journal_compact");
   RequestJournal::Config config{dir};
   config.compact_min_delivered = 2;
   const PlanningRequest live = request_named("live");
@@ -234,7 +230,7 @@ TEST(RequestJournal, CompactionDropsDeliveredHistoryAndKeepsLiveState) {
 }
 
 TEST(RequestJournal, CrashBetweenCompactPublishAndCleanupMergesConsistently) {
-  const std::string dir = fresh_dir("compact_crash");
+  const std::string dir = fresh_temp_dir("journal_compact_crash");
   RequestJournal::Config config{dir};
   config.compact_min_delivered = 1;
   const PlanningRequest live = request_named("live");
@@ -268,7 +264,7 @@ TEST(RequestJournal, CrashBetweenCompactPublishAndCleanupMergesConsistently) {
 }
 
 TEST(RequestJournal, SegmentsRotateAtTheConfiguredSize) {
-  const std::string dir = fresh_dir("rotate");
+  const std::string dir = fresh_temp_dir("journal_rotate");
   RequestJournal::Config config{dir};
   config.segment_bytes = 1024;
   config.compact_min_delivered = 1000;  // keep compaction out of this test

@@ -18,19 +18,15 @@
 #include "service/journal.hpp"
 #include "service/service.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 
 namespace nptsn {
 namespace {
 
+using nptsn::testing::fresh_temp_dir;
 using nptsn::testing::tiny_problem;
 using nptsn::testing::truncate_file;
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "nptsn_recovery_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 NptsnConfig small_session() {
   NptsnConfig c;
@@ -71,7 +67,7 @@ PlanningRequest garbage_request(const std::string& id) {
 }
 
 TEST(ServiceRecovery, RetryConsumesMaxAttemptsThenFaults) {
-  const std::string dir = fresh_dir("retry");
+  const std::string dir = fresh_temp_dir("recovery_retry");
   ServiceConfig config = small_service(dir);
   PlanningRequest request = garbage_request("doomed");
   request.max_attempts = 3;
@@ -117,8 +113,8 @@ TEST(ServiceRecovery, BackoffIsDeterministicAcrossSameSeedRuns) {
     return backoffs;
   };
 
-  const std::string dir_a = fresh_dir("backoff_a");
-  const std::string dir_b = fresh_dir("backoff_b");
+  const std::string dir_a = fresh_temp_dir("recovery_backoff_a");
+  const std::string dir_b = fresh_temp_dir("recovery_backoff_b");
   const std::vector<double> a = backoffs_of(dir_a);
   const std::vector<double> b = backoffs_of(dir_b);
   ASSERT_EQ(a.size(), 3u);
@@ -132,7 +128,7 @@ TEST(ServiceRecovery, BackoffIsDeterministicAcrossSameSeedRuns) {
 }
 
 TEST(ServiceRecovery, TrySubmitShedsWithOverloadedAndIsNeverResurrected) {
-  const std::string dir = fresh_dir("overload");
+  const std::string dir = fresh_temp_dir("recovery_overload");
   ServiceConfig config = small_service(dir);
   config.shards = 1;
   config.workers_per_shard = 1;
@@ -187,7 +183,7 @@ TEST(ServiceRecovery, TrySubmitShedsWithOverloadedAndIsNeverResurrected) {
 }
 
 TEST(ServiceRecovery, FinishedRequestReplaysAcrossRestartWithoutReExecution) {
-  const std::string dir = fresh_dir("replay");
+  const std::string dir = fresh_temp_dir("recovery_replay");
   PlanningResponse first;
   {
     PlannerService service(small_service(dir));
@@ -217,7 +213,7 @@ TEST(ServiceRecovery, FinishedRequestReplaysAcrossRestartWithoutReExecution) {
 }
 
 TEST(ServiceRecovery, UnfinishedRequestReExecutesWithAttemptsPreserved) {
-  const std::string dir = fresh_dir("unfinished");
+  const std::string dir = fresh_temp_dir("recovery_unfinished");
   {
     // Simulate a process that journaled accept + start + one retry and then
     // died: no terminal record ever made it to disk.
@@ -255,7 +251,7 @@ TEST(ServiceRecovery, UnfinishedRequestReExecutesWithAttemptsPreserved) {
 }
 
 TEST(ServiceRecovery, CancelledWorkIsRecoveredNotLost) {
-  const std::string dir = fresh_dir("cancel");
+  const std::string dir = fresh_temp_dir("recovery_cancel");
   ResponseStatus first_status;
   {
     PlannerService service(small_service(dir));
@@ -285,7 +281,7 @@ TEST(ServiceRecovery, CancelledWorkIsRecoveredNotLost) {
 }
 
 TEST(ServiceRecovery, TornJournalTailWarnsButServiceStarts) {
-  const std::string dir = fresh_dir("torn");
+  const std::string dir = fresh_temp_dir("recovery_torn");
   {
     RequestJournal journal({dir});
     PlanningRequest request = tiny_request("whole");
