@@ -20,7 +20,8 @@ struct PlanningResult {
   // shortens the search.
   bool feasible = false;
   double best_cost = 0.0;               // valid when feasible
-  std::optional<Topology> best;         // the cheapest verified topology
+  std::optional<Topology> best;         // the cheapest verified topology;
+                                        // points at plan()'s problem
   std::int64_t solutions_found = 0;     // reliability-verified networks seen
   std::vector<EpochStats> history;      // stats of the epochs run by THIS call
   // Empty when all configured epochs ran; otherwise describes the run
@@ -53,7 +54,9 @@ struct PlanningResult {
   std::int64_t quarantined_worker_epochs = 0;
 };
 
-// Runs NPTSN end to end. The problem and NBF must stay alive for the call.
+// Runs NPTSN end to end. The NBF must stay alive for the call; the problem
+// must outlive the RESULT, because result.best (and every Topology copied
+// from it) points at the problem rather than owning a copy.
 // on_epoch (optional) observes training progress (Fig. 5 curves).
 // With config.checkpoint_path set, the run is crash-resilient: it resumes
 // from an existing checkpoint (ignoring torn/corrupt files in favor of the

@@ -51,10 +51,12 @@ struct GraphFp {
 // (property-tested in tests/net/topology_test.cpp).
 GraphFp graph_fp_of(const Graph& g);
 
+// A Topology keeps a pointer to its PlanningProblem, not a copy: the problem
+// must outlive the topology and every copy of it (PlanningResult::best
+// included). Using one after its problem is destroyed reads freed memory.
 class Topology {
  public:
   // Starts as the empty TSSDN: all end stations, no switches, no links.
-  // The problem must outlive the topology.
   explicit Topology(const PlanningProblem& problem);
 
   const PlanningProblem& problem() const { return *problem_; }

@@ -248,7 +248,7 @@ void PlannerService::worker_loop(int shard_index) {
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
   while (auto ticket = shard.queue.pop()) {
     if (cancelling_.load(std::memory_order_acquire)) {
-      resolve_cancelled(std::move(*ticket), /*record_unprocessed=*/true);
+      resolve_cancelled(std::move(*ticket));
       continue;
     }
     const auto picked = std::chrono::steady_clock::now();
@@ -367,7 +367,7 @@ void PlannerService::schedule_retry(Ticket ticket, int shard_index,
 
   // The scheduler is already stopped (shutdown in progress).
   if (cancelling_.load(std::memory_order_acquire)) {
-    resolve_cancelled(std::move(ticket), /*record_unprocessed=*/true);
+    resolve_cancelled(std::move(ticket));
     return;
   }
   // Drain-mode shutdown: no backoff to wait out — requeue immediately; if
@@ -404,20 +404,23 @@ void PlannerService::retry_loop() {
     PendingRetry item = std::move(retry_heap_.back());
     retry_heap_.pop_back();
     lock.unlock();
-
-    auto& queue = shards_[static_cast<std::size_t>(item.shard_index)]->queue;
-    const int priority = item.ticket.request.priority;
-    while (true) {
-      const PushResult pushed =
-          queue.push_for(item.ticket, priority, std::chrono::milliseconds{50});
-      if (pushed == PushResult::kPushed) break;
-      if (pushed == PushResult::kClosed) {
-        resolve_cancelled(std::move(item.ticket), /*record_unprocessed=*/true);
-        break;
-      }
-      // kFull: the workers are still draining the queue; keep waiting.
-    }
+    requeue_retry(std::move(item));
     lock.lock();
+  }
+}
+
+void PlannerService::requeue_retry(PendingRetry item) {
+  auto& queue = shards_[static_cast<std::size_t>(item.shard_index)]->queue;
+  const int priority = item.ticket.request.priority;
+  while (true) {
+    const PushResult pushed =
+        queue.push_for(item.ticket, priority, std::chrono::milliseconds{50});
+    if (pushed == PushResult::kPushed) return;
+    if (pushed == PushResult::kClosed) {
+      resolve_cancelled(std::move(item.ticket));
+      return;
+    }
+    // kFull: the workers are still draining the queue; keep waiting.
   }
 }
 
@@ -602,16 +605,12 @@ PlanningResponse PlannerService::run_session(const PlanningRequest& request,
   }
 }
 
-void PlannerService::resolve_cancelled(Ticket ticket, bool record_unprocessed) {
+void PlannerService::resolve_cancelled(Ticket ticket) {
   PlanningResponse response;
   response.id = ticket.request.id;
   response.label = ticket.request.label;
   response.status = ResponseStatus::kCancelled;
   response.error = "cancelled: service shut down before the session started";
-  if (record_unprocessed) {
-    std::lock_guard lock(state_mutex_);
-    unprocessed_.push_back(std::move(ticket.request));
-  }
   count(ResponseStatus::kCancelled);
   ticket.promise.set_value(std::move(response));
 }
@@ -710,7 +709,7 @@ void PlannerService::reroute_shard(int shard_index) {
     }
     if (shard.queue.try_push(ticket, priority) != PushResult::kPushed) {
       // Queue closed (shutdown raced us): resolve rather than drop the promise.
-      resolve_cancelled(std::move(ticket), /*record_unprocessed=*/true);
+      resolve_cancelled(std::move(ticket));
     }
   }
   if (moved > 0) {
@@ -754,19 +753,9 @@ void PlannerService::shutdown(Shutdown mode) {
   if (retry_thread_.joinable()) retry_thread_.join();
   for (PendingRetry& item : pending) {
     if (mode == Shutdown::kCancel) {
-      resolve_cancelled(std::move(item.ticket), /*record_unprocessed=*/true);
-      continue;
-    }
-    auto& queue = shards_[static_cast<std::size_t>(item.shard_index)]->queue;
-    const int priority = item.ticket.request.priority;
-    while (true) {
-      const PushResult pushed =
-          queue.push_for(item.ticket, priority, std::chrono::milliseconds{50});
-      if (pushed == PushResult::kPushed) break;
-      if (pushed == PushResult::kClosed) {
-        resolve_cancelled(std::move(item.ticket), /*record_unprocessed=*/true);
-        break;
-      }
+      resolve_cancelled(std::move(item.ticket));
+    } else {
+      requeue_retry(std::move(item));
     }
   }
 
@@ -777,17 +766,13 @@ void PlannerService::shutdown(Shutdown mode) {
     }
   }
   // Anything the workers never popped (only possible in cancel mode, or for
-  // producers that raced close): resolve as cancelled and keep the request.
+  // producers that raced close): resolve as cancelled. With a journal the
+  // request stays live there and recovers on the next process.
   for (auto& shard : shards_) {
     for (Ticket& ticket : shard->queue.drain_remaining()) {
-      resolve_cancelled(std::move(ticket), /*record_unprocessed=*/true);
+      resolve_cancelled(std::move(ticket));
     }
   }
-}
-
-std::vector<PlanningRequest> PlannerService::unprocessed() {
-  std::lock_guard lock(state_mutex_);
-  return unprocessed_;
 }
 
 PlannerService::Counters PlannerService::counters() const {

@@ -33,9 +33,11 @@
 // kCancel additionally fires every in-flight session's deadline token
 // (Deadline::cancel), so each session unwinds through the trainer's
 // clean-stop path — persisting a resumable checkpoint when a state_dir is
-// configured (checkpoint_on_stop) — and the untouched backlog is handed back
-// via unprocessed() for the caller to persist. Cancelled sessions are never
-// journaled as terminal, so a journaled service recovers them on restart.
+// configured (checkpoint_on_stop) — and resolves the untouched backlog as
+// kCancelled. The journal is the only record of that backlog: cancelled
+// requests are never journaled as terminal, so a service constructed over
+// the same journal_dir recovers them (and resumes their checkpoints).
+// Without a journal, cancelled work is answered kCancelled and not kept.
 //
 // Determinism: the exact shared caches never change a session's result —
 // plans, certificates, and training trajectories are bit-identical with
@@ -191,14 +193,10 @@ class PlannerService {
   // Idempotent. kDrain: stop admitting, finish the backlog (queued retries
   // run immediately), join workers. kCancel: stop admitting, fire every
   // in-flight session's deadline, join, and resolve the unstarted backlog —
-  // including backoff-pending retries — as kCancelled (see unprocessed()).
+  // including backoff-pending retries — as kCancelled. With a journal every
+  // cancelled request stays live in it and recovers on the next construction
+  // over the same journal_dir.
   void shutdown(Shutdown mode);
-
-  // Requests that were admitted but never started (only ever non-empty
-  // after shutdown(kCancel)); the caller persists these for a later process.
-  // With a journal these are also still live in the journal and recover on
-  // the next construction over the same journal_dir.
-  std::vector<PlanningRequest> unprocessed();
 
   struct Counters {
     std::int64_t submitted = 0;
@@ -296,7 +294,7 @@ class PlannerService {
   void finish_ticket(Ticket ticket, PlanningResponse response);
   void replay_recovered(RequestJournal::Recovered item);
   void resubmit_recovered(RequestJournal::Recovered item);
-  void resolve_cancelled(Ticket ticket, bool record_unprocessed);
+  void resolve_cancelled(Ticket ticket);
   void count(ResponseStatus status);
   // Background threads: the durability probe re-arms a degraded journal; the
   // watchdog cancels/wedges overrunning sessions and reroutes quarantined
@@ -315,10 +313,9 @@ class PlannerService {
   std::atomic<bool> accepting_{true};
   std::atomic<bool> cancelling_{false};
   std::atomic<bool> joined_{false};
-  mutable std::mutex state_mutex_;  // guards inflight_, unprocessed_, counters_,
-                                    // and Shard::wedged_sessions
+  mutable std::mutex state_mutex_;  // guards inflight_, counters_, and
+                                    // Shard::wedged_sessions
   std::vector<Inflight> inflight_;
-  std::vector<PlanningRequest> unprocessed_;
   Counters counters_;
   std::mutex shutdown_mutex_;  // serializes shutdown() callers
 
@@ -336,6 +333,9 @@ class PlannerService {
     Ticket ticket;
     int shard_index = 0;
   };
+  // Feeds a due (or drain-forfeited) retry back into its shard's queue,
+  // waiting out a full queue; resolves it as cancelled once the queue closes.
+  void requeue_retry(PendingRetry item);
   mutable std::mutex retry_mutex_;  // guards retry_heap_, retry_stop_, retry_rng_
   std::condition_variable retry_cv_;
   std::vector<PendingRetry> retry_heap_;  // min-heap by due

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/failure_analyzer.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 #include "tsn/recovery.hpp"
 #include "util/rng.hpp"
@@ -152,7 +153,7 @@ TEST(CertificateSerialization, FileRoundTripIsExact) {
   const auto built = build_certificate(topology, HeuristicRecovery());
   ASSERT_TRUE(built.ok);
 
-  const std::string path = ::testing::TempDir() + "certificate_roundtrip.bin";
+  const std::string path = nptsn::testing::temp_path("certificate_roundtrip.bin");
   save_certificate_file(path, built.certificate);
   const ReliabilityCertificate loaded = load_certificate_file(path);
   expect_certificates_equal(built.certificate, loaded);

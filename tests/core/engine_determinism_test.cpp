@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "core/planner.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 
 namespace nptsn {
@@ -181,7 +182,7 @@ TEST(EngineDeterminism, PlanWithAndWithoutEngineMatches) {
 TEST(EngineDeterminism, KillAndResumeWithEngineMatchesUninterrupted) {
   const auto problem = tiny_problem(2);
   HeuristicRecovery nbf;
-  const std::string path = ::testing::TempDir() + "nptsn_engine_resume";
+  const std::string path = nptsn::testing::temp_path("engine_resume");
   for (const char* suffix : {"", ".1", ".tmp"}) {
     std::remove((path + suffix).c_str());
   }

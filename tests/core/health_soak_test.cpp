@@ -13,6 +13,7 @@
 
 #include "analysis/failure_analyzer.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 
 namespace nptsn {
@@ -24,7 +25,7 @@ using nptsn::testing::ScopedNumericFault;
 using nptsn::testing::tiny_problem;
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "nptsn_soak_" + name;
+  return nptsn::testing::temp_path("soak_" + name);
 }
 
 void remove_all(const std::string& path) {

@@ -10,6 +10,7 @@
 
 #include "analysis/failure_analyzer.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 
 namespace nptsn {
@@ -20,7 +21,7 @@ using nptsn::testing::FaultyNbf;
 using nptsn::testing::tiny_problem;
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "nptsn_plan_" + name;
+  return nptsn::testing::temp_path("plan_" + name);
 }
 
 void remove_all(const std::string& path) {

@@ -11,6 +11,7 @@
 #include "core/planner.hpp"
 #include "scenarios/ads.hpp"
 #include "testing/lying_nbf.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 #include "tsn/stateful.hpp"
 
@@ -257,7 +258,7 @@ TEST(EndToEnd, EverySolutionModeRejectsLyingSolutionsDuringTraining) {
 TEST(EndToEnd, FinalCertificateIsWrittenToDisk) {
   const auto p = tiny_problem(2);
   const HeuristicRecovery nbf;
-  const std::string path = ::testing::TempDir() + "e2e_certificate.bin";
+  const std::string path = nptsn::testing::temp_path("e2e_certificate.bin");
   auto config = fast_config(15);
   config.audit_mode = AuditMode::kFinal;
   config.certificate_path = path;

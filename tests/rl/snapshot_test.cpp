@@ -13,6 +13,7 @@
 #include "rl/trainer.hpp"
 #include "testing/corridor_env.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/temp_dir.hpp"
 
 namespace nptsn {
 namespace {
@@ -26,7 +27,7 @@ using nptsn::testing::corridor_trainer_config;
 using nptsn::testing::corrupt_file_byte;
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "nptsn_trainer_" + name;
+  return nptsn::testing::temp_path("trainer_" + name);
 }
 
 void remove_all(const std::string& path) {

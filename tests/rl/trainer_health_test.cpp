@@ -14,6 +14,7 @@
 
 #include "testing/corridor_env.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/temp_dir.hpp"
 
 namespace nptsn {
 namespace {
@@ -26,7 +27,7 @@ using nptsn::testing::FaultyEnv;
 using nptsn::testing::ScopedNumericFault;
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "nptsn_health_" + name;
+  return nptsn::testing::temp_path("health_" + name);
 }
 
 void remove_all(const std::string& path) {

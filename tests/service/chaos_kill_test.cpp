@@ -3,6 +3,7 @@
 // points (and once from the outside, mid-burst), restart it over the same
 // journal, and audit the durability contract — zero lost acknowledged
 // requests, zero double-answers, every request terminal after the re-run.
+// A SIGTERM-interrupted --state-dir run is held to the same contract.
 //
 // The daemon binary path is compiled in as NPTSN_SERVE_BIN. Iteration count
 // defaults low for local ctest; CI raises it via NPTSN_CHAOS_ITERS.
@@ -18,23 +19,18 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "net/problem.hpp"
 #include "service/crash_point.hpp"
 #include "service/journal.hpp"
-#include "testing/fault_injector.hpp"
 #include "testing/temp_dir.hpp"
-#include "testing/test_problems.hpp"
-#include "util/checkpoint.hpp"
 #include "util/rng.hpp"
 
 namespace nptsn {
 namespace {
 
-using nptsn::testing::corrupt_file_byte;
 using nptsn::testing::fresh_temp_dir;
-using nptsn::testing::tiny_problem;
 
 struct RunResult {
   bool exited = false;   // normal exit (vs killed by a signal)
@@ -327,42 +323,54 @@ TEST(ChaosKill, SigUsr1AtSpawnIsDeliveredAfterStartup) {
   std::filesystem::remove_all(dir);
 }
 
-// Satellite: the pending-request recovery path tolerates on-disk damage —
-// one corrupt pending file is skipped with a warning, the rest of the
-// backlog still runs.
-TEST(ChaosKill, PendingDirSkipsCorruptFilesAndRunsTheRest) {
-  const std::string dir = fresh_temp_dir("chaos_pending", /*create=*/true);
-  const auto write_pending = [&](const std::string& id) {
-    PlanningRequest request;
-    request.id = id;
-    request.problem_bytes = problem_bytes(tiny_problem());
-    ByteWriter out;  // mirror of nptsn_serve's pending-request payload (v2)
-    out.str(request.id);
-    out.str(request.label);
-    out.i64(request.priority);
-    out.i64(request.epochs);
-    out.i64(request.steps_per_epoch);
-    out.u64(request.seed);
-    out.i64(request.max_attempts);
-    out.blob(request.problem_bytes);
-    const std::string path = dir + "/pending-" + id + ".req";
-    save_checkpoint_file(path, /*kPendingRequestVersion=*/2, out.data());
-    return path;
-  };
-  write_pending("survivor");
-  corrupt_file_byte(write_pending("damaged"), 40);  // inside the payload
+// SIGTERM under --state-dir alone: the daemon journals under DIR/journal,
+// so the interrupted run keeps every unanswered request, and re-running the
+// same command answers each one exactly once — recovered, never resubmitted.
+TEST(ChaosKill, SigtermWithStateDirResumesFromTheJournal) {
+  const std::string dir = fresh_temp_dir("chaos_sigterm", /*create=*/true);
+  const std::vector<std::string> args = {"--state-dir", dir,          "--epochs", "2",
+                                         "--steps",     "64",         "--seed",   "7",
+                                         "--repeat",    "3",          "gen:11:4:2",
+                                         "gen:12:4:2"};
 
-  const RunResult result = run_serve(
-      {"--epochs", "1", "--steps", "16", "pending-dir:" + dir}, "");
-  ASSERT_TRUE(result.exited);
-  // Not a usage (2) or I/O (3) error: the damage was contained.
-  EXPECT_TRUE(result.exit_code == 0 || result.exit_code == 1) << result.output;
-  EXPECT_NE(result.output.find("skipping corrupt pending file"), std::string::npos)
-      << result.output;
-  EXPECT_NE(result.output.find("pending-damaged.req"), std::string::npos);
-  EXPECT_EQ(occurrences(result.output, "] survivor:"), 1) << result.output;
-  EXPECT_EQ(occurrences(result.output, "] damaged:"), 0) << result.output;
+  const RunResult interrupted = run_serve(args, "", /*signal_after_ms=*/0, SIGTERM,
+                                          /*io_fault=*/"", /*signal_after_banner=*/true);
+  ASSERT_TRUE(interrupted.exited) << "daemon died of signal " << interrupted.term_signal;
+  EXPECT_EQ(interrupted.exit_code, 5) << interrupted.output;
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/journal")) << interrupted.output;
+
+  const RunResult resumed = run_serve(args, "");
+  ASSERT_TRUE(resumed.exited) << "resume run died";
+  EXPECT_TRUE(resumed.exit_code == 0 || resumed.exit_code == 1)
+      << "exit " << resumed.exit_code << "\n"
+      << resumed.output;
+  EXPECT_EQ(occurrences(resumed.output, "recovered from journal: "), 6) << resumed.output;
+  audit_journal(dir + "/journal", 6, resumed.output);
   std::filesystem::remove_all(dir);
+}
+
+// Numeric flags and @P priorities are parsed in full and range-checked
+// before anything runs: bad input is a usage error (exit 2) naming the
+// culprit, not a 0 that faults every session or an exit coded as I/O.
+TEST(ChaosKill, MalformedNumbersAreUsageErrors) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--epochs", "abc", "ads"}, "--epochs"},
+      {{"--epochs", "12x", "ads"}, "--epochs"},
+      {{"--queue-capacity", "0", "ads"}, "--queue-capacity"},
+      {{"--session-wall", "-1", "ads"}, "--session-wall"},
+      {{"--admission-timeout", "nan", "ads"}, "--admission-timeout"},
+      {{"--seed", "-1", "ads"}, "--seed"},
+      {{"--repeat", "99999999999", "ads"}, "--repeat"},
+      {{"ads@x"}, "ads@x"},
+      {{"ads@"}, "ads@"},
+  };
+  for (const auto& [args, culprit] : cases) {
+    SCOPED_TRACE(culprit);
+    const RunResult result = run_serve(args, "");
+    ASSERT_TRUE(result.exited) << "daemon died of signal " << result.term_signal;
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_NE(result.output.find(culprit), std::string::npos) << result.output;
+  }
 }
 
 }  // namespace

@@ -170,14 +170,8 @@ TEST(PlannerService, CancellingShutdownResolvesEveryAdmittedRequest) {
     if (response.status == ResponseStatus::kCancelled) ++cancelled;
   }
   // With one worker and six queued sessions, a cancelling shutdown must
-  // cancel most of the backlog; the untouched part is handed back.
+  // cancel most of the backlog.
   EXPECT_GT(cancelled, 0);
-  const auto backlog = service.unprocessed();
-  EXPECT_LE(static_cast<int>(backlog.size()), cancelled);
-  for (const PlanningRequest& request : backlog) {
-    EXPECT_FALSE(request.id.empty());
-    EXPECT_FALSE(request.problem_bytes.empty());
-  }
   const auto counters = service.counters();
   EXPECT_EQ(counters.submitted, 6);
   EXPECT_EQ(counters.cancelled, cancelled);

@@ -13,6 +13,7 @@
 #include "net/topology.hpp"
 #include "rl/trainer.hpp"
 #include "testing/corridor_env.hpp"
+#include "testing/temp_dir.hpp"
 #include "testing/test_problems.hpp"
 #include "tsn/recovery.hpp"
 #include "util/checkpoint.hpp"
@@ -74,7 +75,7 @@ void fuzz_loader(const std::vector<std::uint8_t>& valid, Load load,
 }
 
 TEST(CheckpointFuzz, FramedFileLoaderRejectsCorruptFiles) {
-  const std::string path = ::testing::TempDir() + "fuzz_framed.bin";
+  const std::string path = nptsn::testing::temp_path("fuzz_framed.bin");
   ByteWriter payload;
   payload.str("fuzz payload");
   for (int i = 0; i < 64; ++i) payload.i64(i * 7);
@@ -91,7 +92,7 @@ TEST(CheckpointFuzz, FramedFileLoaderRejectsCorruptFiles) {
   std::remove(path.c_str());
   std::remove((path + ".1").c_str());
 
-  const std::string scratch = ::testing::TempDir() + "fuzz_framed_scratch.bin";
+  const std::string scratch = nptsn::testing::temp_path("fuzz_framed_scratch.bin");
   fuzz_loader(
       framed,
       [&](const std::vector<std::uint8_t>& bytes) {

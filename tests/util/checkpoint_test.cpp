@@ -8,6 +8,7 @@
 #include <string>
 
 #include "testing/fault_injector.hpp"
+#include "testing/temp_dir.hpp"
 
 namespace nptsn {
 namespace {
@@ -19,7 +20,7 @@ using nptsn::testing::corrupt_file_byte;
 using nptsn::testing::truncate_file;
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "nptsn_ckpt_" + name;
+  return nptsn::testing::temp_path("ckpt_" + name);
 }
 
 void remove_all(const std::string& path) {

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "testing/temp_dir.hpp"
+
 namespace nptsn {
 namespace {
 

@@ -3,47 +3,48 @@
 // Boots a PlannerService (sharded worker pools + cross-session caches),
 // submits the planning problems named on the command line, and streams each
 // session's outcome as it resolves. Problems come from the evaluation
-// scenarios (ads/orion), the seeded procedural generator (gen:...), raw
-// canonical problem-bytes files (problem:PATH), or pending-request files a
-// previous interrupted serve run persisted (pending:PATH).
+// scenarios (ads/orion), the seeded procedural generator (gen:...), or raw
+// canonical problem-bytes files (problem:PATH).
+//
+// Crash durability: with --journal DIR (or --state-dir DIR alone, which
+// journals under DIR/journal) every request is written ahead to a fsynced
+// journal before its handle exists, and a re-run over the same journal
+// recovers — unfinished sessions re-execute, finished ones replay their
+// persisted (re-audited) answer. Recovered sessions are reported like fresh
+// ones and CLI specs whose id a recovered session already covers are
+// deduplicated, so "restart with the same command line" is always safe.
 //
 // Graceful shutdown: SIGTERM/SIGINT switches the service into cancelling
-// shutdown — every in-flight session's deadline token fires, the session
-// unwinds through the trainer's clean-stop path and (with --state-dir)
-// persists a resumable checkpoint under checksummed checkpoint framing, and
-// every admitted-but-unstarted request is written to
-// <state-dir>/pending-<id>.req (same framing). Re-running with
-// pending:<file> (or pending-dir:<dir>, which skips corrupt files with a
-// warning) resumes exactly where the interrupted process stopped.
-//
-// Crash durability: with --journal DIR every request is written ahead to a
-// fsynced journal before its handle exists, and a re-run over the same
-// journal recovers — unfinished sessions re-execute, finished ones replay
-// their persisted (re-audited) answer. Recovered sessions are reported like
-// fresh ones and CLI specs whose id a recovered session already covers are
-// deduplicated, so "restart with the same command line" is always safe.
+// shutdown — every in-flight session's deadline token fires and the session
+// unwinds through the trainer's clean-stop path, persisting a resumable
+// <state-dir>/<id>.ckpt checkpoint under --state-dir. Cancelled requests
+// are never journaled as terminal, so they stay live in the journal and the
+// same command line resumes them: started sessions continue from their
+// checkpoints, unstarted ones run.
 //
 // Exit codes (distinct so scripts and CI can branch without parsing output):
 //   0 = every submitted or recovered session planned successfully (audit
 //       clean when auditing is configured; replayed answers are re-audited)
 //   1 = the service ran to completion but some session was infeasible,
 //       audit-rejected, faulted, or shed as overloaded
-//   2 = usage error (bad flags, malformed spec)
-//   3 = I/O error (unreadable problem/pending file, unwritable state dir,
-//       unusable journal directory)
-//   5 = interrupted (SIGTERM/SIGINT): in-flight checkpoints and the pending
-//       backlog were persisted (and stay live in the journal); nothing was
-//       lost, but the run did not finish
-#include <algorithm>
+//   2 = usage error (bad flags, malformed spec, out-of-range number)
+//   3 = I/O error (unreadable problem file, unwritable state dir, unusable
+//       journal directory)
+//   5 = interrupted (SIGTERM/SIGINT): the run did not finish; with a journal
+//       every unanswered request stays live in it and re-running the same
+//       command resumes them (without one, cancelled work is not kept)
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -60,10 +61,10 @@ namespace {
 
 using namespace nptsn;
 
-// Payload version for pending-request files (id, label, priority, overrides,
-// problem blob under the standard checksummed checkpoint framing).
-// v2 added max_attempts.
-constexpr std::uint32_t kPendingRequestVersion = 2;
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+// Bound on every seconds flag (~11.6 days): far past any real budget, and
+// small enough to convert to clock ticks without overflow.
+constexpr double kMaxSeconds = 1e6;
 
 std::atomic<int> g_signal{0};
 std::atomic<bool> g_dump_stats{false};
@@ -149,9 +150,6 @@ void usage(const char* argv0) {
       "  orion[:FLOWS[:SEED]]   ORION with FLOWS random flows (default 4)\n"
       "  gen:SEED[:FLOWS[:ZONES]]  a generated zonal instance\n"
       "  problem:PATH       canonical problem bytes (net/problem.hpp)\n"
-      "  pending:PATH       a pending-request file from an interrupted run\n"
-      "  pending-dir:DIR    every pending-*.req under DIR (corrupt files are\n"
-      "                     skipped with a warning)\n"
       "Append @P to any spec to set its queue priority (e.g. ads@10).\n"
       "\n"
       "service options:\n"
@@ -161,8 +159,8 @@ void usage(const char* argv0) {
       "  --no-shared-cache    disable the cross-session caches\n"
       "  --warm-start         warm-start policy weights across sessions\n"
       "                       (opt-in: changes training trajectories)\n"
-      "  --state-dir DIR      checkpoint/resume directory; on SIGTERM the\n"
-      "                       backlog is persisted here as pending-*.req\n"
+      "  --state-dir DIR      per-session checkpoints (DIR/<id>.ckpt); without\n"
+      "                       --journal the journal lives in DIR/journal\n"
       "  --journal DIR        write-ahead request journal; a re-run over the\n"
       "                       same DIR recovers unfinished requests and\n"
       "                       replays finished ones (ids deduplicated)\n"
@@ -190,7 +188,8 @@ void usage(const char* argv0) {
       "                       default 0 = off; needs --session-wall)\n"
       "  --repeat N           submit every spec N times (ids get -rK)\n"
       "\n"
-      "signals: SIGTERM/SIGINT cancel and persist; SIGUSR1 dumps live service\n"
+      "signals: SIGTERM/SIGINT cancel (exit 5; with a journal, re-running the\n"
+      "same command resumes the unanswered requests); SIGUSR1 dumps live service\n"
       "stats (queue depths, shard health, journal durability) to stderr.\n"
       "A supervisor that may signal the daemon right after spawning it should\n"
       "exec it with SIGTERM, SIGINT and SIGUSR1 blocked: the daemon unblocks\n"
@@ -199,20 +198,38 @@ void usage(const char* argv0) {
       argv0);
 }
 
+// All of `text` as a T in [lo, hi], or nullopt: empty input, trailing junk,
+// overflow, inf/nan and out-of-range values are all refused (atoi/atof would
+// read most of them as 0).
+template <typename T>
+std::optional<T> parse_number(const std::string& text, T lo, T hi) {
+  T parsed{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc{} || ptr != end || !(parsed >= lo && parsed <= hi)) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 struct Spec {
   std::string text;
   int priority = 0;
 };
 
-// "name@P" -> {name, P}; no @ -> priority 0.
+// "name@P" -> {name, P}; no @ -> priority 0. Throws ValidationError when P
+// is not an integer.
 Spec parse_spec(const std::string& raw) {
   Spec spec;
   const std::size_t at = raw.rfind('@');
-  if (at == std::string::npos) {
-    spec.text = raw;
-  } else {
-    spec.text = raw.substr(0, at);
-    spec.priority = std::atoi(raw.c_str() + at + 1);
+  spec.text = raw.substr(0, at);
+  if (at != std::string::npos) {
+    const auto priority = parse_number(raw.substr(at + 1), std::numeric_limits<int>::min(),
+                                       std::numeric_limits<int>::max());
+    if (!priority) {
+      throw ValidationError("spec '" + raw + "' needs an integer priority after @");
+    }
+    spec.priority = *priority;
   }
   return spec;
 }
@@ -226,68 +243,9 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
   return {data.begin(), data.end()};
 }
 
-std::vector<std::uint8_t> save_pending(const PlanningRequest& request) {
-  ByteWriter out;
-  out.str(request.id);
-  out.str(request.label);
-  out.i64(request.priority);
-  out.i64(request.epochs);
-  out.i64(request.steps_per_epoch);
-  out.u64(request.seed);
-  out.i64(request.max_attempts);
-  out.blob(request.problem_bytes);
-  return out.data();
-}
-
-PlanningRequest load_pending(const std::vector<std::uint8_t>& payload) {
-  ByteReader in(payload);
-  PlanningRequest request;
-  request.id = in.str();
-  request.label = in.str();
-  request.priority = static_cast<int>(in.i64());
-  request.epochs = static_cast<int>(in.i64());
-  request.steps_per_epoch = static_cast<int>(in.i64());
-  request.seed = in.u64();
-  request.max_attempts = static_cast<int>(in.i64());
-  request.problem_bytes = in.blob();
-  in.expect_exhausted("pending planning request");
-  return request;
-}
-
-// Recovers every pending-*.req under `dir`. A corrupt or truncated file —
-// e.g. one damaged by the crash that interrupted the previous run — is
-// SKIPPED with a warning, never a refusal: losing one request's priority
-// metadata must not strand the rest of the backlog.
-std::vector<PlanningRequest> load_pending_dir(const std::string& dir) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    throw std::runtime_error("pending-dir is not a directory: " + dir);
-  }
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("pending-", 0) == 0 && name.size() > 4 &&
-        name.compare(name.size() - 4, 4, ".req") == 0) {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  std::vector<PlanningRequest> requests;
-  for (const std::string& path : paths) {
-    try {
-      requests.push_back(load_pending(load_checkpoint_file(path, kPendingRequestVersion)));
-    } catch (const CheckpointError& e) {
-      std::fprintf(stderr, "warning: skipping corrupt pending file %s: %s\n",
-                   path.c_str(), e.what());
-    }
-  }
-  return requests;
-}
-
-// Builds the requests for one spec (most specs yield one; pending-dir yields
-// the whole recovered backlog). Throws ValidationError on a malformed spec
-// (exit 2 at the call site) and std::runtime_error on I/O (exit 3).
-std::vector<PlanningRequest> build_requests(const Spec& spec) {
+// Builds the request for one spec. Throws ValidationError on a malformed
+// spec (exit 2 at the call site) and std::runtime_error on I/O (exit 3).
+PlanningRequest build_request(const Spec& spec) {
   PlanningRequest request;
   request.priority = spec.priority;
   const std::string& text = spec.text;
@@ -351,23 +309,10 @@ std::vector<PlanningRequest> build_requests(const Spec& spec) {
     request.id = path.substr(path.find_last_of('/') + 1);
     request.label = "problem file " + path;
     request.problem_bytes = read_file_bytes(path);
-  } else if (parts[0] == "pending-dir") {
-    if (parts.size() < 2 || parts[1].empty()) {
-      throw ValidationError("pending-dir spec needs a path: pending-dir:DIR");
-    }
-    const std::string dir = text.substr(std::strlen("pending-dir:"));
-    return load_pending_dir(dir);
-  } else if (parts[0] == "pending") {
-    if (parts.size() < 2 || parts[1].empty()) {
-      throw ValidationError("pending spec needs a path: pending:PATH");
-    }
-    const std::string path = text.substr(std::strlen("pending:"));
-    request = load_pending(load_checkpoint_file(path, kPendingRequestVersion));
-    if (spec.priority != 0) request.priority = spec.priority;
   } else {
     throw ValidationError("unknown spec '" + text + "'");
   }
-  return {std::move(request)};
+  return request;
 }
 
 }  // namespace
@@ -396,7 +341,7 @@ int main(int argc, char** argv) {
   int repeat = 1;
   double admission_timeout = 0.0;
   std::string certificates_dir;
-  std::vector<Spec> specs;
+  std::vector<std::string> spec_args;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -407,12 +352,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The flag's value parsed in full and range-checked; anything else is a
+    // usage error here rather than a zero that fails later and elsewhere.
+    const auto number = [&](auto lo, auto hi) {
+      const std::string text = value();
+      const auto parsed = parse_number(text, lo, hi);
+      if (!parsed) {
+        std::ostringstream range;
+        range << '[' << lo << ", " << hi << ']';
+        std::fprintf(stderr, "error: %s needs a number in %s, got '%s'\n", arg.c_str(),
+                     range.str().c_str(), text.c_str());
+        std::exit(2);
+      }
+      return *parsed;
+    };
     if (arg == "--shards") {
-      config.shards = std::atoi(value());
+      config.shards = number(1, kMaxInt);
     } else if (arg == "--workers") {
-      config.workers_per_shard = std::atoi(value());
+      config.workers_per_shard = number(1, kMaxInt);
     } else if (arg == "--queue-capacity") {
-      config.queue_capacity = static_cast<std::size_t>(std::atoll(value()));
+      config.queue_capacity = number(std::size_t{1}, std::numeric_limits<std::size_t>::max());
     } else if (arg == "--no-shared-cache") {
       config.shared_caches = false;
     } else if (arg == "--warm-start") {
@@ -422,31 +381,32 @@ int main(int argc, char** argv) {
     } else if (arg == "--journal") {
       config.journal_dir = value();
     } else if (arg == "--max-attempts") {
-      config.default_max_attempts = std::atoi(value());
+      config.default_max_attempts = number(1, kMaxInt);
     } else if (arg == "--admission-timeout") {
-      admission_timeout = std::atof(value());
+      admission_timeout = number(0.0, kMaxSeconds);
     } else if (arg == "--epochs") {
-      config.session.epochs = std::atoi(value());
+      config.session.epochs = number(1, kMaxInt);
     } else if (arg == "--steps") {
-      config.session.steps_per_epoch = std::atoi(value());
+      config.session.steps_per_epoch = number(1, kMaxInt);
     } else if (arg == "--seed") {
-      config.session.seed = std::strtoull(value(), nullptr, 10);
+      config.session.seed =
+          number(std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--workers-per-session") {
-      config.session.num_workers = std::atoi(value());
+      config.session.num_workers = number(1, kMaxInt);
     } else if (arg == "--audit") {
       config.session.audit_mode = AuditMode::kFinal;
     } else if (arg == "--certificates") {
       certificates_dir = value();
     } else if (arg == "--min-order") {
-      config.session.min_frontier_order = std::atoi(value());
+      config.session.min_frontier_order = number(0, 4096);
     } else if (arg == "--include-links") {
       config.session.frontier_include_links = true;
     } else if (arg == "--session-wall") {
-      config.session_wall_seconds = std::atof(value());
+      config.session_wall_seconds = number(0.0, kMaxSeconds);
     } else if (arg == "--watchdog-grace") {
-      config.watchdog_grace = std::atof(value());
+      config.watchdog_grace = number(0.0, kMaxSeconds);
     } else if (arg == "--repeat") {
-      repeat = std::atoi(value());
+      repeat = number(1, kMaxInt);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -455,25 +415,11 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 2;
     } else {
-      specs.push_back(parse_spec(arg));
+      spec_args.push_back(arg);
     }
   }
-  if (specs.empty()) {
+  if (spec_args.empty()) {
     usage(argv[0]);
-    return 2;
-  }
-  if (config.shards < 1 || config.workers_per_shard < 1 || repeat < 1) {
-    std::fprintf(stderr, "error: --shards/--workers/--repeat must be positive\n");
-    return 2;
-  }
-  if (config.default_max_attempts < 1 || admission_timeout < 0.0) {
-    std::fprintf(stderr,
-                 "error: --max-attempts must be positive and "
-                 "--admission-timeout non-negative\n");
-    return 2;
-  }
-  if (config.session.min_frontier_order < 0 || config.session.min_frontier_order > 4096) {
-    std::fprintf(stderr, "error: --min-order must be in [0, 4096]\n");
     return 2;
   }
   if (config.watchdog_grace != 0.0 &&
@@ -483,25 +429,27 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // SIGTERM must lose nothing a --state-dir run admitted: journal there
+  // unless a journal directory was named.
+  if (config.journal_dir.empty() && !config.state_dir.empty()) {
+    config.journal_dir = config.state_dir + "/journal";
+  }
+
   // Build every request before booting the service, so a malformed spec is a
   // clean usage/I-O error instead of a half-run.
   std::vector<PlanningRequest> requests;
   try {
-    for (const Spec& spec : specs) {
-      for (PlanningRequest& request : build_requests(spec)) {
-        for (int r = 0; r < repeat; ++r) {
-          PlanningRequest copy = request;
-          if (repeat > 1) copy.id += "-r" + std::to_string(r);
-          requests.push_back(std::move(copy));
-        }
+    for (const std::string& arg : spec_args) {
+      const PlanningRequest request = build_request(parse_spec(arg));
+      for (int r = 0; r < repeat; ++r) {
+        PlanningRequest copy = request;
+        if (repeat > 1) copy.id += "-r" + std::to_string(r);
+        requests.push_back(std::move(copy));
       }
     }
   } catch (const ValidationError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
-  } catch (const CheckpointError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 3;
@@ -623,23 +571,6 @@ int main(int argc, char** argv) {
   }
 
   if (!interrupted) service->shutdown(PlannerService::Shutdown::kDrain);
-
-  // Persist the admitted-but-unstarted backlog so a later process can resume
-  // it with pending:<file> (in-flight sessions already checkpointed through
-  // the trainer's checkpoint_on_stop path; a journal retains them too).
-  const std::vector<PlanningRequest> backlog = service->unprocessed();
-  if (!backlog.empty() && !config.state_dir.empty()) {
-    for (const PlanningRequest& request : backlog) {
-      const std::string path = config.state_dir + "/pending-" + request.id + ".req";
-      try {
-        save_checkpoint_file(path, kPendingRequestVersion, save_pending(request));
-        std::printf("persisted %s\n", path.c_str());
-      } catch (const CheckpointError& e) {
-        std::fprintf(stderr, "error: cannot persist %s: %s\n", path.c_str(), e.what());
-        return 3;
-      }
-    }
-  }
 
   const PlannerService::Counters counters = service->counters();
   std::printf(
